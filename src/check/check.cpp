@@ -524,7 +524,8 @@ CheckReport validate_wave_order(const mig::Mig& m, const ffr::FfrPartition& part
 
 CheckReport validate_report(const flow::FlowReport& report) {
   CheckReport out;
-  uint64_t queries = 0, answered = 0, cache5 = 0, synthesized = 0, failures = 0;
+  uint64_t queries = 0, answered = 0, cache5 = 0, synthesized = 0, failures = 0,
+           conflicts = 0;
   for (uint32_t i = 0; i < report.passes.size(); ++i) {
     const auto& p = report.passes[i];
     queries += p.oracle_queries;
@@ -532,6 +533,7 @@ CheckReport validate_report(const flow::FlowReport& report) {
     cache5 += p.oracle_cache5_hits;
     synthesized += p.oracle_synthesized;
     failures += p.oracle_failures;
+    conflicts += p.oracle_conflicts;
     if (p.oracle_answered > p.oracle_queries) {
       out.add(Code::report_pass_inconsistent, i,
               "pass '" + p.name + "' answered " + std::to_string(p.oracle_answered) +
@@ -541,10 +543,14 @@ CheckReport validate_report(const flow::FlowReport& report) {
       out.add(Code::report_pass_inconsistent, i,
               "pass '" + p.name + "' resolved more 5-input lookups than queries");
     }
-    if (p.oracle_failures > p.oracle_synthesized) {
+    // A failure is reached by a query that synthesized or by one that hit
+    // an open cache entry and resumed its search (possibly one an earlier
+    // pass left open), so it is bounded by both together.
+    if (p.oracle_failures > p.oracle_cache5_hits + p.oracle_synthesized) {
       out.add(Code::report_pass_inconsistent, i,
               "pass '" + p.name + "' failed " + std::to_string(p.oracle_failures) +
-                  " of " + std::to_string(p.oracle_synthesized) + " syntheses");
+                  " of " + std::to_string(p.oracle_cache5_hits + p.oracle_synthesized) +
+                  " 5-input lookups");
     }
   }
   const auto mismatch = [&](const char* name, uint64_t total, uint64_t sum) {
@@ -559,6 +565,7 @@ CheckReport validate_report(const flow::FlowReport& report) {
   mismatch("oracle_cache5_hits", report.oracle_cache5_hits, cache5);
   mismatch("oracle_synthesized", report.oracle_synthesized, synthesized);
   mismatch("oracle_failures", report.oracle_failures, failures);
+  mismatch("oracle_conflicts", report.oracle_conflicts, conflicts);
   return out;
 }
 
@@ -581,6 +588,8 @@ CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTall
           tally.synthesized.load(std::memory_order_relaxed));
   compare("failures", report.oracle_failures,
           tally.failures.load(std::memory_order_relaxed));
+  compare("conflicts", report.oracle_conflicts,
+          tally.conflicts.load(std::memory_order_relaxed));
   return out;
 }
 
@@ -644,7 +653,7 @@ CheckReport lint_cache_file(const std::string& path) {
   std::string magic, version;
   size_t count = 0;
   if (!(hs >> magic >> version >> count) || magic != "mighty-mig-5cut-cache" ||
-      version != "v1") {
+      (version != "v1" && version != "v2")) {
     report.add(Code::artifact_header, 1, "bad header: \"" + header + '"');
     return report;
   }
@@ -708,20 +717,42 @@ CheckReport lint_cache_file(const std::string& path) {
         report.add(Code::artifact_not_canonical, line_number,
                    "chain for 0x" + hex + " is not in canonical serialization");
       }
-    } else if (status == "fail") {
+    } else if (status == "fail" || status == "open") {
+      const bool open = status == "open";
+      if (open) {
+        // "No chain below <lower> gates": at least the 5-input support bound
+        // of two gates, at most the oracle's gate cap (a search that reaches
+        // the cap ends in ok or fail, never open).  No chain follows.
+        const uint32_t max_gates = opt::OracleParams{}.max_gates;
+        int64_t lower = 0;
+        if (version == "v1") {
+          report.add(Code::artifact_entry, line_number,
+                     "open record for 0x" + hex + " in a v1 file");
+        } else if (!(ls >> lower)) {
+          report.add(Code::artifact_entry, line_number,
+                     "open record for 0x" + hex + " lacks its lower bound");
+        } else if (lower < 2 || lower > static_cast<int64_t>(max_gates)) {
+          report.add(Code::artifact_entry, line_number,
+                     "open record for 0x" + hex + " has lower bound " +
+                         std::to_string(lower) + " (must be 2.." +
+                         std::to_string(max_gates) + ")");
+        }
+      }
       std::string extra;
       if (ls >> extra) {
         report.add(Code::artifact_entry, line_number,
-                   "trailing tokens after failure record for 0x" + hex);
+                   std::string("trailing tokens after ") + (open ? "open" : "failure") +
+                       " record for 0x" + hex);
       }
       // Budget monotonicity: failures are retried when queried under a
       // strictly larger budget, with -1 ranking above every finite value.
       // A zero or negative finite budget would freeze a failure that never
-      // actually ran the solver.
+      // actually ran the solver; an open entry ran it under the same rule.
       if (budget != -1 && budget < 1) {
         report.add(Code::artifact_budget, line_number,
-                   "failure for 0x" + hex + " recorded under budget " +
-                       std::to_string(budget) + " (must be -1 or >= 1)");
+                   std::string(open ? "open record" : "failure") + " for 0x" + hex +
+                       " recorded under budget " + std::to_string(budget) +
+                       " (must be -1 or >= 1)");
       }
     } else {
       report.add(Code::artifact_entry, line_number,

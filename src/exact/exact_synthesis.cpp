@@ -1,5 +1,6 @@
 #include "exact/exact_synthesis.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -49,7 +50,7 @@ SynthesisResult synthesize_minimum_mig(const tt::TruthTable& f,
     return result;
   }
 
-  for (uint32_t k = 1; k <= options.max_gates; ++k) {
+  for (uint32_t k = std::max(options.min_gates, 1u); k <= options.max_gates; ++k) {
     sat::Solver solver;
     std::unique_ptr<Encoder> encoder;
     if (options.encoder == EncoderKind::onehot) {

@@ -13,7 +13,7 @@
 /// Sec. III).
 ///
 /// Size-minimum synthesis solves the decision problem "exists an MIG with k
-/// gates for f" for k = 0, 1, 2, ... until satisfiable.  Depth-minimum
+/// gates for f" for k = min_gates, min_gates + 1, ... until satisfiable.  Depth-minimum
 /// synthesis (used for the D(f) column of Table II) solves a complete-ternary-
 /// tree formulation for increasing depth; sharing never reduces depth, so a
 /// depth-optimal formula is also a depth-optimal circuit.
@@ -23,6 +23,11 @@ namespace mighty::exact {
 enum class EncoderKind { onehot, smt };
 
 struct SynthesisOptions {
+  /// First gate count tried.  A caller that has already proven no smaller
+  /// chain exists (k gates reach at most 2k + 1 inputs; earlier UNSAT
+  /// answers) skips those decision problems; each remaining k is solved
+  /// exactly as before, so the chain found does not depend on it.
+  uint32_t min_gates = 1;
   uint32_t max_gates = 20;
   /// Conflict budget per decision problem; -1 = unlimited.
   int64_t conflict_limit = -1;
@@ -42,7 +47,8 @@ enum class SynthesisStatus {
 struct SynthesisResult {
   SynthesisStatus status = SynthesisStatus::exhausted;
   MigChain chain;  ///< valid iff status == success
-  /// Conflicts spent per decision problem, indexed by gate count offset.
+  /// Conflicts spent per decision problem, indexed by gate count offset
+  /// from the first gate count tried.
   std::vector<uint64_t> conflicts_per_step;
 };
 

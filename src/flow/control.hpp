@@ -27,8 +27,8 @@ struct RunControl {
   /// Largest live-gate count an intermediate network may reach; 0 = no cap.
   uint32_t node_budget = 0;
 
-  /// Total SAT-conflict allowance, measured as synthesis attempts times the
-  /// session's per-call conflict limit; 0 = no cap.
+  /// Total SAT-conflict allowance, charged with the conflicts the run's
+  /// syntheses actually spent (FlowReport::oracle_conflicts); 0 = no cap.
   uint64_t conflict_budget = 0;
 
   /// Wall-clock deadline; only consulted when has_deadline is set.

@@ -45,6 +45,7 @@ struct PassStats {
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
   uint64_t oracle_failures = 0;
+  uint64_t oracle_conflicts = 0;  ///< SAT conflicts the pass's syntheses spent
   double seconds = 0.0;
 };
 
@@ -82,6 +83,9 @@ struct FlowReport {
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
   uint64_t oracle_failures = 0;
+  /// SAT conflicts spent by the run's syntheses: what a conflict budget
+  /// (RunControl::conflict_budget) is charged with.
+  uint64_t oracle_conflicts = 0;
 
   uint64_t cuts_evaluated() const;
   uint64_t replacements() const;

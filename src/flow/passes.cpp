@@ -67,6 +67,7 @@ public:
     entry.oracle_cache5_hits = stats.oracle_cache5_hits;
     entry.oracle_synthesized = stats.oracle_synthesized;
     entry.oracle_failures = stats.oracle_failures;
+    entry.oracle_conflicts = stats.oracle_conflicts;
     entry.seconds = stats.seconds;
     report.passes.push_back(std::move(entry));
     return result;

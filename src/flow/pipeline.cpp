@@ -15,11 +15,10 @@ namespace {
 
 /// Pass-boundary verdict on the run control riding on the report: throws
 /// api::Error with the matching stable code on cancellation or a blown
-/// budget.  The conflict budget is charged per synthesis attempt (successes
-/// and failures both ran the solver) at the session's per-call conflict
-/// limit — the same coin the oracle spends.
+/// budget.  The conflict budget is charged with the SAT conflicts the run's
+/// syntheses actually spent, summed over every decision problem.
 void enforce_run_control(const RunControl* control, const mig::Mig& current,
-                         const FlowReport& report, const Session& session) {
+                         const FlowReport& report) {
   if (control == nullptr) return;
   if (control->cancel.load(std::memory_order_relaxed)) {
     throw api::Error(api::ErrorCode::cancelled, "flow cancelled");
@@ -39,15 +38,11 @@ void enforce_run_control(const RunControl* control, const mig::Mig& current,
     }
   }
   if (control->conflict_budget != 0) {
-    uint64_t attempts = 0;
-    for (const auto& pass : report.passes) {
-      attempts += pass.oracle_synthesized + pass.oracle_failures;
-    }
-    const uint64_t spent =
-        attempts * session.params().oracle.synthesis_conflict_limit;
+    uint64_t spent = 0;
+    for (const auto& pass : report.passes) spent += pass.oracle_conflicts;
     if (spent > control->conflict_budget) {
       throw api::Error(api::ErrorCode::conflict_budget_exceeded,
-                       "flow spent ~" + std::to_string(spent) +
+                       "flow spent " + std::to_string(spent) +
                            " SAT conflicts (budget " +
                            std::to_string(control->conflict_budget) + ")");
     }
@@ -263,10 +258,10 @@ mig::Mig Pipeline::run(const mig::Mig& mig, Session& session,
 mig::Mig Pipeline::run_into(const mig::Mig& mig, Session& session,
                             FlowReport& report) const {
   mig::Mig current = mig;
-  enforce_run_control(report.control, current, report, session);
+  enforce_run_control(report.control, current, report);
   for (const auto& pass : passes_) {
     current = pass->run(current, session, report);
-    enforce_run_control(report.control, current, report, session);
+    enforce_run_control(report.control, current, report);
     // Between-pass invariant checking: composite passes recurse through
     // run_into, so every intermediate network of every nesting level is
     // covered.  A violation here is a bug in the pass that just ran — stop
@@ -323,13 +318,14 @@ uint64_t FlowReport::replacements() const {
 
 void FlowReport::accumulate_oracle_totals() {
   oracle_queries = oracle_answered = oracle_cache5_hits = 0;
-  oracle_synthesized = oracle_failures = 0;
+  oracle_synthesized = oracle_failures = oracle_conflicts = 0;
   for (const auto& pass : passes) {
     oracle_queries += pass.oracle_queries;
     oracle_answered += pass.oracle_answered;
     oracle_cache5_hits += pass.oracle_cache5_hits;
     oracle_synthesized += pass.oracle_synthesized;
     oracle_failures += pass.oracle_failures;
+    oracle_conflicts += pass.oracle_conflicts;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,13 +16,19 @@ namespace mighty::opt {
 namespace {
 
 constexpr const char* kCacheMagic = "mighty-mig-5cut-cache";
-constexpr const char* kCacheVersion = "v1";
+constexpr const char* kCacheVersion = "v2";
+/// The previous format: the same ok/fail lines, no open lines.
+constexpr const char* kCacheVersionV1 = "v1";
+
+/// k gates reach at most 2k + 1 inputs, so a function of full 5-variable
+/// support needs at least two: the first decision problem worth solving.
+constexpr uint32_t kSupportBound = 2;
 
 /// Bumps a lifetime counter and its optional per-scope mirror.
 void bump(std::atomic<uint64_t>& global, OracleTally* tally,
-          std::atomic<uint64_t> OracleTally::* member) {
-  global.fetch_add(1, std::memory_order_relaxed);
-  if (tally != nullptr) (tally->*member).fetch_add(1, std::memory_order_relaxed);
+          std::atomic<uint64_t> OracleTally::* member, uint64_t amount = 1) {
+  global.fetch_add(amount, std::memory_order_relaxed);
+  if (tally != nullptr) (tally->*member).fetch_add(amount, std::memory_order_relaxed);
 }
 
 /// Orders conflict budgets with -1 (unlimited) on top, so "retry when
@@ -44,7 +51,12 @@ ReplacementOracle::ReplacementOracle(const exact::Database& db,
     : db_(db), params_(params) {}
 
 const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
+                                                           uint32_t max_size,
                                                            OracleTally* tally) {
+  // No 5-input chain fits below the support bound: answer without touching
+  // the cache, so such queries never count as hits or syntheses.
+  if (max_size < kSupportBound) return nullptr;
+  const uint32_t last = std::min(max_size, params_.max_gates);
   const uint64_t key = f5.bits();
   CacheStripe& stripe = stripe_for(key);
   // Synthesis runs under the stripe lock: concurrent queries for the same
@@ -53,51 +65,63 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   // stripes proceed unhindered.
   util::MutexLock lock(stripe.mutex);
   const auto it = stripe.map.find(key);
-  bool retry = false;
+  uint32_t first = kSupportBound;
+  bool resumed = false;
   if (it != stripe.map.end()) {
+    const CacheEntry& cached = it->second;
     // A failure recorded under a smaller conflict budget is not an answer
     // for a query with a larger one — persisted caches would otherwise
-    // freeze the failures of low-budget sessions forever.  Successes and
-    // same-or-larger-budget failures are plain hits.
-    retry = !it->second.chain &&
-            budget_rank(params_.synthesis_conflict_limit) > budget_rank(it->second.budget);
+    // freeze the failures of low-budget sessions forever; the retry starts
+    // over.  An open entry resumes where its search stopped.  Everything
+    // else is a plain hit.
+    const bool retry = !cached.chain && !cached.open() &&
+                       budget_rank(params_.synthesis_conflict_limit) >
+                           budget_rank(cached.budget);
     if (!retry) {
       bump(cache5_hits_, tally, &OracleTally::cache5_hits);
-      return it->second.chain ? &*it->second.chain : nullptr;
+      if (cached.chain) return cached.chain->size() <= max_size ? &*cached.chain : nullptr;
+      if (!cached.open() || cached.lower > last) return nullptr;
+      first = cached.lower;
+      resumed = true;
     }
   }
+  if (!resumed) bump(synthesized_, tally, &OracleTally::synthesized);
+
   exact::SynthesisOptions options;
-  options.max_gates = params_.max_gates;
+  options.min_gates = first;
+  options.max_gates = last;
   options.conflict_limit = params_.synthesis_conflict_limit;
   const auto result = exact::synthesize_minimum_mig(f5, options);
-  bump(synthesized_, tally, &OracleTally::synthesized);
+  const uint64_t conflicts = total_conflicts(result);
+  bump(conflicts_, tally, &OracleTally::conflicts, conflicts);
 
-  CacheEntry& entry = retry ? it->second : stripe.map[key];
-  if (retry) {
-    entry.conflicts += total_conflicts(result);  // retries accumulate effort
-  } else {
-    entry.conflicts = total_conflicts(result);
-  }
+  CacheEntry& entry = it != stripe.map.end() ? it->second : stripe.map[key];
+  entry.conflicts += conflicts;  // retries and resumptions accumulate effort
+  entry.budget = params_.synthesis_conflict_limit;
+  entry.lower = 0;
   entry.dirty = true;
   if (result.status == exact::SynthesisStatus::success) {
     entry.chain = result.chain;
-    entry.budget = params_.synthesis_conflict_limit;
     return &*entry.chain;
   }
+  if (result.status == exact::SynthesisStatus::exhausted && last < params_.max_gates) {
+    // Every problem up to the query's bound came back UNSAT: not a failure,
+    // just no chain small enough yet.  A later, larger bound resumes here.
+    entry.lower = last + 1;
+    return nullptr;
+  }
   bump(failures_, tally, &OracleTally::failures);
-  // "exhausted" means every decision problem up to max_gates came back UNSAT
-  // — a definitive no that no conflict budget overturns; record it as an
-  // unlimited-budget failure so it is never retried.  A timeout keeps the
-  // finite budget so a richer session can try again.
-  entry.budget = result.status == exact::SynthesisStatus::exhausted
-                     ? -1
-                     : params_.synthesis_conflict_limit;
-  entry.chain.reset();
+  // "exhausted" up to max_gates is a definitive no that no conflict budget
+  // overturns; record it as an unlimited-budget failure so it is never
+  // retried.  A timeout keeps the finite budget so a richer session can try
+  // again.
+  if (result.status == exact::SynthesisStatus::exhausted) entry.budget = -1;
   return nullptr;
 }
 
 std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthTable& f,
-                                                                OracleTally* tally) {
+                                                                OracleTally* tally,
+                                                                uint32_t max_size) {
   bump(queries_, tally, &OracleTally::queries);
   Info info;
   info.input_depths.assign(f.num_vars(), -1);
@@ -122,7 +146,7 @@ std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthT
   }
 
   if (!params_.enable_five_input || f.num_vars() > 5) return std::nullopt;
-  const auto* chain = five_input_chain(f.extend(5), tally);
+  const auto* chain = five_input_chain(f.extend(5), max_size, tally);
   if (chain == nullptr) return std::nullopt;
   info.size = chain->size();
   info.depth = chain->depth();
@@ -142,6 +166,8 @@ ReplacementOracle::CacheStats ReplacementOracle::cache_stats() const {
       (void)key;
       if (entry.chain) {
         ++stats.successes;
+      } else if (entry.open()) {
+        ++stats.open;
       } else {
         ++stats.failures;
       }
@@ -173,7 +199,7 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
   std::string magic, version;
   size_t count = 0;
   if (!(hs >> magic >> version >> count) || magic != kCacheMagic ||
-      version != kCacheVersion) {
+      (version != kCacheVersion && version != kCacheVersionV1)) {
     return malformed;
   }
 
@@ -221,6 +247,13 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
     } else if (status == "fail") {
       std::string extra;
       if (ls >> extra) return malformed;  // trailing garbage
+    } else if (status == "open" && version == kCacheVersion) {
+      // An open entry's lower bound is at least the support bound; below it
+      // the line would claim a search that never ran.
+      std::string extra;
+      if (!(ls >> entry.lower) || entry.lower < kSupportBound || (ls >> extra)) {
+        return malformed;
+      }
     } else {
       return malformed;
     }
@@ -241,14 +274,21 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
       continue;
     }
     CacheEntry& mem = it->second;
-    // Union semantics: a success always beats a failure; between two
+    // Union semantics: success beats failure beats open; between two
     // successes the in-memory one is kept — both are proven minima of the
     // same function, and replacing the chain would dangle the stable
     // pointers five_input_chain hands out; between failures the one
-    // produced under the larger budget wins.
-    const bool adopt =
-        disk.chain ? !mem.chain
-                   : (!mem.chain && budget_rank(disk.budget) > budget_rank(mem.budget));
+    // produced under the larger budget wins, between open entries the one
+    // that searched further.
+    bool adopt = false;
+    if (disk.chain) {
+      adopt = !mem.chain;
+    } else if (!disk.open()) {
+      adopt = !mem.chain &&
+              (mem.open() || budget_rank(disk.budget) > budget_rank(mem.budget));
+    } else {
+      adopt = mem.open() && disk.lower > mem.lower;
+    }
     if (adopt) {
       mem = std::move(disk);
       ++result.adopted;
@@ -280,14 +320,14 @@ size_t ReplacementOracle::save_cache(const std::string& path) {
   // file contents are deterministic regardless of hashing or thread
   // interleaving.  The write itself is crash-safe (temp file + rename), so
   // a reader — or a crash — never sees a truncated cache.
-  std::vector<std::pair<uint64_t, CacheEntry>> snapshot;
+  std::map<uint64_t, CacheEntry> snapshot;
   size_t dirty = 0;
   for (auto& stripe : cache5_) {
     util::MutexLock lock(stripe.mutex);
-    // mighty-lint: allow(nondeterministic-iteration): snapshot collection — the vector is sorted by key below, before anything order-sensitive reads it
+    // mighty-lint: allow(nondeterministic-iteration): snapshot collection — the ordered map sorts by key, before anything order-sensitive reads it
     for (const auto& [key, entry] : stripe.map) {
       if (entry.dirty) ++dirty;
-      snapshot.emplace_back(key, entry);
+      snapshot.emplace(key, entry);
     }
   }
   // Dirty tracking: an autosave of a cache whose every entry already came
@@ -298,16 +338,14 @@ size_t ReplacementOracle::save_cache(const std::string& path) {
     util::MutexLock lock(persist_mutex_);
     if (dirty == 0 && path == persisted_path_ && std::ifstream(path).good()) return 0;
   }
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
   util::write_file_atomically(path, [&snapshot](std::ostream& os) {
     os << kCacheMagic << ' ' << kCacheVersion << ' ' << snapshot.size() << '\n';
     for (const auto& [key, entry] : snapshot) {
       const auto f = tt::TruthTable(5, key);
-      os << f.to_hex() << ' ' << (entry.chain ? "ok" : "fail") << ' '
-         << entry.budget << ' ' << entry.conflicts;
+      os << f.to_hex() << ' ' << (entry.chain ? "ok" : entry.open() ? "open" : "fail")
+         << ' ' << entry.budget << ' ' << entry.conflicts;
       if (entry.chain) os << ' ' << entry.chain->to_string();
+      if (entry.open()) os << ' ' << entry.lower;
       os << '\n';
     }
   });
@@ -319,11 +357,10 @@ size_t ReplacementOracle::save_cache(const std::string& path) {
     util::MutexLock lock(stripe.mutex);
     // mighty-lint: allow(nondeterministic-iteration): per-entry dirty-bit clear — each entry is judged against the sorted snapshot independently of every other
     for (auto& [key, entry] : stripe.map) {
-      const auto it = std::lower_bound(
-          snapshot.begin(), snapshot.end(), key,
-          [](const auto& a, uint64_t k) { return a.first < k; });
-      if (it != snapshot.end() && it->first == key && it->second.chain == entry.chain &&
-          it->second.budget == entry.budget && it->second.conflicts == entry.conflicts) {
+      const auto it = snapshot.find(key);
+      if (it != snapshot.end() && it->second.chain == entry.chain &&
+          it->second.budget == entry.budget && it->second.conflicts == entry.conflicts &&
+          it->second.lower == entry.lower) {
         entry.dirty = false;
       }
     }
@@ -347,7 +384,7 @@ mig::Signal ReplacementOracle::instantiate(const tt::TruthTable& f, mig::Mig& mi
     }
     return db_.instantiate(g, mig, mapped);
   }
-  const auto* chain = five_input_chain(f.extend(5), tally);
+  const auto* chain = five_input_chain(f.extend(5), kUnbounded, tally);
   if (chain == nullptr) {
     throw std::logic_error("instantiate called without a successful query");
   }

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
@@ -25,27 +26,38 @@
 ///    cache.  The paper notes that enumerating all NPN classes beyond four
 ///    variables is impractical and that 5-input rewriting works on a
 ///    dynamically discovered subset (Sec. IV, ref. [9]); this oracle is that
-///    mechanism.  Synthesis is budgeted both in gate count (it only needs to
-///    beat the cut's cone) and in SAT conflicts; failures are cached as
-///    "no replacement" together with the budget that produced them, and are
-///    re-attempted when queried under a strictly larger conflict budget.
+///    mechanism.  Synthesis is budgeted in SAT conflicts per decision
+///    problem and in gate count: `max_gates` caps every search, and a query
+///    may pass a tighter size bound — a replacement only pays when it is
+///    smaller than the cut's cone, so the top-down drivers stop the size loop
+///    where no chain could win.  A search stopped by such a bound is cached
+///    as *open* ("no chain below L gates") and resumed at L by a later query
+///    with a larger bound, so every (function, gate count) decision problem
+///    is solved at most once.  Failures (timeouts, or no chain within
+///    max_gates) are cached as "no replacement" together with the budget
+///    that produced them, and are re-attempted when queried under a strictly
+///    larger conflict budget.
 ///
 /// The 5-input cache persists to disk (save_cache / load_cache): a versioned
 /// text file alongside the NPN-4 database, one line per function — hex truth
-/// table, chain-or-failure record, the synthesis budget in force, and the
-/// conflicts spent.  Loading unions the file with the in-memory cache (a
-/// cached success always beats a cached failure; among failures the larger
-/// budget wins), so sessions warm-start across processes the same way a
-/// batch run warm-starts across networks.  Dirty-entry tracking lets
-/// save_cache skip the write when nothing changed since the last save/load.
+/// table, record kind (ok / fail / open), the synthesis budget in force, the
+/// conflicts spent, then the chain of an `ok` line or the lower bound of an
+/// `open` line.  Loading unions the file with the in-memory cache (success
+/// beats failure beats open; among failures the larger budget wins, among
+/// open entries the larger lower bound), so sessions warm-start across
+/// processes the same way a batch run warm-starts across networks.
+/// Dirty-entry tracking lets save_cache skip the write when nothing changed
+/// since the last save/load.
 ///
 /// The oracle is shared by every shard of a parallel pass, so query() and
 /// instantiate() are safe to call concurrently: the 5-input cache is striped
 /// (each stripe a mutex-guarded map, with synthesis performed under the
-/// stripe lock so a function is synthesized exactly once no matter how many
-/// shards race for it), and the accounting is atomic.  Because answers are a
-/// pure function of the queried truth table, cache behavior and every counter
-/// are identical whether one thread queries or eight do.
+/// stripe lock so a decision problem is solved exactly once no matter how
+/// many shards race for it), and the accounting is atomic.  Because answers
+/// are a pure function of the queried truth table and size bound, and the
+/// decision problems solved for a function are the same whichever query
+/// reaches them first, cache behavior and every counter are identical
+/// whether one thread queries or eight do.
 
 namespace mighty::opt {
 
@@ -61,6 +73,8 @@ struct OracleTally {
   std::atomic<uint64_t> cache5_hits{0};
   std::atomic<uint64_t> synthesized{0};
   std::atomic<uint64_t> failures{0};
+  /// SAT conflicts spent by the syntheses this scope ran.
+  std::atomic<uint64_t> conflicts{0};
 };
 
 struct OracleParams {
@@ -68,8 +82,8 @@ struct OracleParams {
   bool enable_five_input = false;
   /// Conflict budget per synthesis decision problem.
   int64_t synthesis_conflict_limit = 20000;
-  /// Gate bound for on-demand synthesis ("only useful if smaller than the
-  /// cone" is applied on top by the caller through max_gates).
+  /// Gate cap for on-demand synthesis.  A query's own size bound (the
+  /// caller's "only useful if smaller than the cone") tightens it further.
   uint32_t max_gates = 9;
 };
 
@@ -84,11 +98,20 @@ public:
     std::vector<int> input_depths;
   };
 
+  /// No size bound: the minimum, however large (up to max_gates).
+  static constexpr uint32_t kUnbounded = UINT32_MAX;
+
   /// Returns the replacement structure for a cut function over at most five
   /// variables (in cut-leaf order), or std::nullopt if no structure is known
-  /// within the budgets.  Thread-safe.  When `tally` is given, the call's
-  /// counter increments are mirrored into it.
-  std::optional<Info> query(const tt::TruthTable& f, OracleTally* tally = nullptr);
+  /// within the budgets.  `max_size` is the largest structure the caller
+  /// can use: 4-input lookups are instant and answer regardless, while a
+  /// 5-input query runs only the decision problems up to it and returns
+  /// std::nullopt when the minimum is larger — one whose bound is below the
+  /// support bound (two gates for five inputs) returns without touching the
+  /// cache.  Thread-safe.  When `tally` is given, the call's counter
+  /// increments are mirrored into it.
+  std::optional<Info> query(const tt::TruthTable& f, OracleTally* tally = nullptr,
+                            uint32_t max_size = kUnbounded);
 
   /// Builds the replacement in `mig`; `leaves[v]` drives variable v of f.
   /// Must only be called after a successful query for the same function.
@@ -101,9 +124,10 @@ public:
 
   /// Aggregate view of the 5-input cache for reporting.
   struct CacheStats {
-    size_t entries = 0;    ///< cached functions (successes + failures)
+    size_t entries = 0;    ///< cached functions (successes + failures + open)
     size_t successes = 0;  ///< functions with a known replacement chain
     size_t failures = 0;   ///< functions cached as "no replacement"
+    size_t open = 0;       ///< functions whose search a size bound stopped
     size_t dirty = 0;      ///< entries not yet persisted by save_cache
   };
   CacheStats cache_stats() const;
@@ -124,11 +148,13 @@ public:
   /// malformed or duplicate line, a count mismatch, or a chain that does not
   /// realize its function reject the file without touching the cache).
   /// Merge semantics: unknown functions are adopted; a success on disk
-  /// replaces an in-memory failure (never the reverse); between two
-  /// failures the larger budget wins; between two successes the in-memory
-  /// chain is kept (both are proven minima, and replacing it would dangle
-  /// outstanding pointers).  Adopted entries are clean; surviving
-  /// in-memory entries keep their dirty bit.  Thread-safe.
+  /// replaces an in-memory failure or open entry (never the reverse), and a
+  /// failure replaces an open entry; between two failures the larger budget
+  /// wins, between two open entries the larger lower bound; between two
+  /// successes the in-memory chain is kept (both are proven minima, and
+  /// replacing it would dangle outstanding pointers).  Both format versions
+  /// load (v1 files have no open lines).  Adopted entries are clean;
+  /// surviving in-memory entries keep their dirty bit.  Thread-safe.
   CacheLoadResult load_cache(const std::string& path);
   /// Same validation and merge over an already-open stream (in-memory
   /// buffers, fuzz harnesses); a stream is never "missing", only malformed.
@@ -144,7 +170,8 @@ public:
   /// marks them clean.  Thread-safe.
   size_t save_cache(const std::string& path);
 
-  /// Number of on-demand syntheses performed / failed (for reporting).
+  /// Functions whose first decision problem a query started / queries that
+  /// reached a timeout or exhausted max_gates (for reporting).
   uint64_t synthesized_count() const {
     return synthesized_.load(std::memory_order_relaxed);
   }
@@ -158,8 +185,11 @@ public:
   /// Queries answered with a replacement structure (4-input lookups always
   /// hit; 5-input queries hit when cached or synthesized within budget).
   uint64_t answered() const { return answered_.load(std::memory_order_relaxed); }
-  /// 5-input queries resolved from the cache without touching the SAT solver.
+  /// 5-input queries that found their function cached — answered from the
+  /// cache, or resuming an open entry's search.
   uint64_t cache5_hits() const { return cache5_hits_.load(std::memory_order_relaxed); }
+  /// SAT conflicts spent on on-demand synthesis.
+  uint64_t sat_conflicts() const { return conflicts_.load(std::memory_order_relaxed); }
   /// Fraction of queries answered; 1.0 when no query was made.
   double hit_rate() const {
     const uint64_t q = queries();
@@ -175,14 +205,19 @@ private:
   /// in force when the entry was produced: -1 means unlimited — for a
   /// failure that encodes "proved absent within max_gates, never retry",
   /// while a finite budget on a failure marks a timeout that a later query
-  /// under a larger budget re-attempts.  `conflicts` is the solver effort
-  /// spent producing the entry (summed over decision problems, accumulated
-  /// across retries).  `dirty` tracks divergence from the last save/load.
+  /// under a larger budget re-attempts.  `lower` > 0 marks an open entry:
+  /// no chain has fewer than `lower` gates, and the search stopped there.
+  /// `conflicts` is the solver effort spent producing the entry (summed
+  /// over decision problems, accumulated across retries and resumptions).
+  /// `dirty` tracks divergence from the last save/load.
   struct CacheEntry {
-    std::optional<exact::MigChain> chain;  ///< nullopt = no replacement
+    std::optional<exact::MigChain> chain;  ///< nullopt = no replacement (yet)
     int64_t budget = 0;
     uint64_t conflicts = 0;
+    uint32_t lower = 0;
     bool dirty = true;
+
+    bool open() const { return !chain && lower > 0; }
   };
 
   /// One lock-striped slice of the 5-input cache.  16 stripes keep cross-
@@ -199,9 +234,9 @@ private:
   }
 
   /// Chains are created once and only ever replaced by a success overwriting
-  /// a failure (never erased), and unordered_map never moves its elements,
+  /// a failure or open entry (never erased), and unordered_map never moves its elements,
   /// so the returned pointer stays valid after the stripe lock is released.
-  const exact::MigChain* five_input_chain(const tt::TruthTable& f5,
+  const exact::MigChain* five_input_chain(const tt::TruthTable& f5, uint32_t max_size,
                                           OracleTally* tally);
 
   const exact::Database& db_;
@@ -219,6 +254,7 @@ private:
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> answered_{0};
   std::atomic<uint64_t> cache5_hits_{0};
+  std::atomic<uint64_t> conflicts_{0};
 };
 
 }  // namespace mighty::opt

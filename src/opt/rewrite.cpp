@@ -37,6 +37,7 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
   local.oracle_cache5_hits = tally.cache5_hits.load(std::memory_order_relaxed);
   local.oracle_synthesized = tally.synthesized.load(std::memory_order_relaxed);
   local.oracle_failures = tally.failures.load(std::memory_order_relaxed);
+  local.oracle_conflicts = tally.conflicts.load(std::memory_order_relaxed);
   if (params.tally != nullptr) {
     params.tally->queries.fetch_add(local.oracle_queries, std::memory_order_relaxed);
     params.tally->answered.fetch_add(local.oracle_answered, std::memory_order_relaxed);
@@ -45,6 +46,7 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
     params.tally->synthesized.fetch_add(local.oracle_synthesized,
                                         std::memory_order_relaxed);
     params.tally->failures.fetch_add(local.oracle_failures, std::memory_order_relaxed);
+    params.tally->conflicts.fetch_add(local.oracle_conflicts, std::memory_order_relaxed);
   }
   if (stats != nullptr) *stats = local;
   return result;

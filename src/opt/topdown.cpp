@@ -58,8 +58,14 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
       continue;
     }
     ++counters.cuts_evaluated;
+    // Only a chain smaller than the cone by more than the best gain so far
+    // can win, so the oracle need not look beyond that size (for 5-input
+    // cuts it stops the synthesis there).  Bounding the query never changes
+    // the plan: whatever it leaves out would fail the gain test anyway.
+    const int max_size = static_cast<int>(cone.size()) - best_gain - 1;
+    if (max_size < 0) continue;
     const auto f = mig::simulate_cut(mig, v, leaves);
-    const auto info = oracle.query(f, params.tally);
+    const auto info = oracle.query(f, params.tally, static_cast<uint32_t>(max_size));
     if (!info) continue;
     const int gain = static_cast<int>(cone.size()) - static_cast<int>(info->size);
     if (gain <= best_gain) continue;

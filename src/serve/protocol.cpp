@@ -246,6 +246,11 @@ api::JobStatus decode_status_ok(const std::vector<uint8_t>& payload) {
 
 namespace {
 
+/// Smallest encoded PassStats record: an empty name (4), four u32 sizes and
+/// depths (16), two u64 effort counters (16), is_mapping (1), two u32 LUT
+/// figures (8), six u64 oracle counters (48) and the f64 seconds (8).
+constexpr size_t kMinPassBytes = 101;
+
 void write_pass_stats(Writer& w, const flow::PassStats& pass) {
   w.str(pass.name);
   w.u32(pass.size_before);
@@ -262,6 +267,7 @@ void write_pass_stats(Writer& w, const flow::PassStats& pass) {
   w.u64(pass.oracle_cache5_hits);
   w.u64(pass.oracle_synthesized);
   w.u64(pass.oracle_failures);
+  w.u64(pass.oracle_conflicts);
   w.f64(pass.seconds);
 }
 
@@ -282,6 +288,7 @@ flow::PassStats read_pass_stats(Reader& r) {
   pass.oracle_cache5_hits = r.u64();
   pass.oracle_synthesized = r.u64();
   pass.oracle_failures = r.u64();
+  pass.oracle_conflicts = r.u64();
   pass.seconds = r.f64();
   return pass;
 }
@@ -304,6 +311,7 @@ std::vector<uint8_t> encode_result_ok(const api::JobResult& result) {
   w.u64(report.oracle_cache5_hits);
   w.u64(report.oracle_synthesized);
   w.u64(report.oracle_failures);
+  w.u64(report.oracle_conflicts);
   w.u32(static_cast<uint32_t>(report.passes.size()));
   for (const auto& pass : report.passes) write_pass_stats(w, pass);
   return w.take();
@@ -326,10 +334,11 @@ api::JobResult decode_result_ok(const std::vector<uint8_t>& payload) {
   report.oracle_cache5_hits = r.u64();
   report.oracle_synthesized = r.u64();
   report.oracle_failures = r.u64();
+  report.oracle_conflicts = r.u64();
   const uint32_t num_passes = r.u32();
-  // Each pass costs >= 65 payload bytes; a count the payload cannot hold is
-  // a forged header, not a big report.
-  if (static_cast<size_t>(num_passes) > payload.size() / 65 + 1) {
+  // Each pass costs >= kMinPassBytes payload bytes; a count the payload
+  // cannot hold is a forged header, not a big report.
+  if (static_cast<size_t>(num_passes) > payload.size() / kMinPassBytes + 1) {
     malformed("pass count " + std::to_string(num_passes));
   }
   report.passes.reserve(num_passes);

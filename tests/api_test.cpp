@@ -1,11 +1,12 @@
 // Tests for the public job API (api/api.hpp): the in-process LocalService
 // lifecycle, the stable error taxonomy, and per-job budget enforcement.
 //
-// Everything here runs algebraic-only scripts ("size", "depth", "check",
-// "map"), which never materialize the NPN database — so this suite stays in
-// the quick `unit` loop.  The oracle-backed end-to-end paths (bit-identical
-// daemon results, cache reuse, Session::persist) live in serve_test.cpp
-// behind the database fixture.
+// Nearly everything here runs algebraic-only scripts ("size", "depth",
+// "check", "map"), which never materialize the NPN database.  The conflict
+// budget case needs real SAT work, so it runs TF5 — locally and through a
+// daemon — and the suite sits behind the database fixture.  The other
+// oracle-backed end-to-end paths (bit-identical daemon results, cache
+// reuse, Session::persist) live in serve_test.cpp.
 
 #include "api/api.hpp"
 
@@ -21,6 +22,8 @@
 #include "gen/arith.hpp"
 #include "io/io.hpp"
 #include "opt/oracle.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 
 namespace mighty::api {
 namespace {
@@ -292,6 +295,50 @@ TEST(ApiTest, ClassifyMapsExceptionFamilies) {
   EXPECT_EQ(classify(std::invalid_argument("x")), ErrorCode::invalid_request);
   EXPECT_EQ(classify(std::logic_error("x")), ErrorCode::check_failed);
   EXPECT_EQ(classify(std::runtime_error("x")), ErrorCode::internal);
+}
+
+/// Runs `request` on a cold in-process service, or on a cold daemon through
+/// RemoteService: every run starts from an empty oracle cache, so each one
+/// spends exactly the same SAT conflicts.
+JobResult run_cold(const JobRequest& request, bool remote) {
+  LocalService service;
+  if (!remote) return service.result(service.submit(request));
+  serve::ServerParams params;
+  params.socket_path = ::testing::TempDir() + "mighty_api_budget_" +
+                       std::to_string(::getpid()) + ".sock";
+  serve::Server server(service, params);
+  JobResult result;
+  {
+    serve::RemoteService client(server.socket_path());
+    result = client.result(client.submit(request));
+  }
+  service.shutdown();
+  server.stop();
+  return result;
+}
+
+TEST(ApiTest, ConflictBudgetIsChargedWithConflictsSpent) {
+  const auto request = request_for(gen::make_adder_n(8), "TF5; size");
+  const JobResult unbudgeted = run_cold(request, false);
+  ASSERT_EQ(unbudgeted.code, ErrorCode::ok) << unbudgeted.message;
+  const uint64_t spent = unbudgeted.report.oracle_conflicts;
+  ASSERT_GT(spent, 0u);
+  uint64_t per_pass = 0;
+  for (const auto& pass : unbudgeted.report.passes) per_pass += pass.oracle_conflicts;
+  EXPECT_EQ(per_pass, spent);
+
+  for (const bool remote : {false, true}) {
+    SCOPED_TRACE(remote ? "remote" : "local");
+    auto budgeted = request;
+    budgeted.conflict_budget = spent - 1;  // one conflict short
+    const JobResult over = run_cold(budgeted, remote);
+    EXPECT_EQ(over.code, ErrorCode::conflict_budget_exceeded) << over.message;
+    budgeted.conflict_budget = spent;  // exactly what the job spends
+    const JobResult within = run_cold(budgeted, remote);
+    ASSERT_EQ(within.code, ErrorCode::ok) << within.message;
+    EXPECT_EQ(within.network_blif, unbudgeted.network_blif);
+    EXPECT_EQ(within.report.oracle_conflicts, spent);
+  }
 }
 
 }  // namespace

@@ -285,6 +285,7 @@ flow::FlowReport consistent_report() {
   a.oracle_cache5_hits = 4;
   a.oracle_synthesized = 3;
   a.oracle_failures = 1;
+  a.oracle_conflicts = 2500;
   flow::PassStats b;
   b.name = "BFD";
   b.oracle_queries = 5;
@@ -301,7 +302,11 @@ TEST(CheckReportTest, ConsistentReportValidates) {
 TEST(CheckReportTest, RollupMismatchIsReported) {
   auto report = consistent_report();
   report.oracle_queries += 1;
-  const auto out = validate_report(report);
+  auto out = validate_report(report);
+  EXPECT_TRUE(out.has(Code::report_rollup_mismatch)) << out.summary();
+  report = consistent_report();
+  report.oracle_conflicts -= 1;
+  out = validate_report(report);
   EXPECT_TRUE(out.has(Code::report_rollup_mismatch)) << out.summary();
 }
 
@@ -313,8 +318,13 @@ TEST(CheckReportTest, PassCounterConservation) {
   ASSERT_TRUE(out.has(Code::report_pass_inconsistent)) << out.summary();
   EXPECT_EQ(out.find(Code::report_pass_inconsistent)->node, 1u);  // pass index
 
+  // A failure may come from a query that resumed an open cache entry, so
+  // failures may exceed syntheses — but never syntheses plus cache hits.
   report = consistent_report();
-  report.passes[0].oracle_failures = 4;  // failures > syntheses
+  report.passes[0].oracle_failures = 7;  // = cache5 + synthesized
+  report.accumulate_oracle_totals();
+  EXPECT_TRUE(validate_report(report).ok()) << validate_report(report).summary();
+  report.passes[0].oracle_failures = 8;  // > cache5 + synthesized
   report.accumulate_oracle_totals();
   out = validate_report(report);
   ASSERT_TRUE(out.has(Code::report_pass_inconsistent)) << out.summary();
@@ -334,7 +344,11 @@ TEST(CheckReportTest, TallyConservation) {
   tally.cache5_hits = report.oracle_cache5_hits;
   tally.synthesized = report.oracle_synthesized;
   tally.failures = report.oracle_failures;
+  tally.conflicts = report.oracle_conflicts;
   EXPECT_TRUE(validate_tally(report, tally).ok());
+  tally.conflicts += 1;
+  EXPECT_TRUE(validate_tally(report, tally).has(Code::report_tally_mismatch));
+  tally.conflicts -= 1;
   tally.queries += 2;
   const auto out = validate_tally(report, tally);
   EXPECT_TRUE(out.has(Code::report_tally_mismatch)) << out.summary();
@@ -429,6 +443,41 @@ TEST_F(CacheLintTest, TrailingTokensAfterFailure) {
       "mighty-mig-5cut-cache v1 1\n"
       "0000ffff fail 20000 17 junk\n");
   EXPECT_TRUE(report.has(Code::artifact_entry)) << report.summary();
+}
+
+TEST_F(CacheLintTest, OpenRecordsPassInV2) {
+  const auto report = lint(
+      "mighty-mig-5cut-cache v2 3\n"
+      "0000ffff fail 20000 17\n"
+      "1234abcd open 20000 1530 4\n"
+      "aaaaaaaa ok -1 0 5 0 2\n");
+  EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
+}
+
+TEST_F(CacheLintTest, MalformedOpenRecords) {
+  const auto report = lint(
+      "mighty-mig-5cut-cache v2 6\n"
+      "00000001 open 20000 10\n"          // no lower bound
+      "00000002 open 20000 10 1\n"        // below the support bound
+      "00000003 open 20000 10 10\n"       // beyond max_gates
+      "00000004 open 20000 10 3 5 0 2\n"  // a chain after the bound
+      "00000005 open 20000 10 3\n"        // valid
+      "00000006 open 0 10 3\n");          // frozen budget
+  std::vector<uint32_t> entry_lines;
+  for (const auto& d : report.diagnostics) {
+    if (d.code == Code::artifact_entry) entry_lines.push_back(d.node);
+  }
+  EXPECT_EQ(entry_lines, (std::vector<uint32_t>{2, 3, 4, 5})) << report.summary();
+  ASSERT_TRUE(report.has(Code::artifact_budget)) << report.summary();
+  EXPECT_EQ(report.find(Code::artifact_budget)->node, 7u);
+}
+
+TEST_F(CacheLintTest, OpenRecordInV1FileIsAnError) {
+  const auto report = lint(
+      "mighty-mig-5cut-cache v1 1\n"
+      "1234abcd open 20000 1530 4\n");
+  ASSERT_TRUE(report.has(Code::artifact_entry)) << report.summary();
+  EXPECT_EQ(report.find(Code::artifact_entry)->node, 2u);
 }
 
 TEST_F(CacheLintTest, UnknownStatus) {

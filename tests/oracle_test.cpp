@@ -10,6 +10,7 @@
 
 #include "cec/cec.hpp"
 #include "gen/arith.hpp"
+#include "io/io.hpp"
 #include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
 #include "opt/rewrite.hpp"
@@ -404,6 +405,169 @@ TEST(OracleCacheTest, SaveIsAtomicAndSkipsCleanCaches) {
     ++files;
   }
   EXPECT_EQ(files, 1u) << "temp files left behind";
+}
+
+// --- size-bounded 5-input queries --------------------------------------------
+
+/// The replacement the oracle instantiates for f, as BLIF text: two oracles
+/// hold the same chain exactly when these strings match.
+std::string instantiated_blif(ReplacementOracle& oracle, const tt::TruthTable& f) {
+  mig::Mig m;
+  const auto pis = m.create_pis(5);
+  m.create_po(oracle.instantiate(f, m, pis));
+  std::ostringstream os;
+  io::write_blif(os, m);
+  return os.str();
+}
+
+std::string file_text(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+OracleParams five_input_params() {
+  OracleParams params;
+  params.enable_five_input = true;
+  return params;
+}
+
+TEST(OracleBoundTest, BoundBelowMinimumLeavesOpenEntryThatLaterBoundsResume) {
+  const auto f = maj5_table();  // minimum: 4 gates
+  ReplacementOracle cold(db(), five_input_params());
+  const auto expected = cold.query(f);
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_EQ(expected->size, 4u);
+
+  ReplacementOracle oracle(db(), five_input_params());
+  EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
+  auto stats = oracle.cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.open, 1u);
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+  EXPECT_EQ(oracle.cache5_hits(), 0u);
+  EXPECT_EQ(oracle.synthesis_failures(), 0u);
+  EXPECT_EQ(oracle.answered(), 0u);
+  // Asking again under the same bound is a plain hit: no new SAT work.
+  const uint64_t conflicts_at_three = oracle.sat_conflicts();
+  EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
+  EXPECT_EQ(oracle.sat_conflicts(), conflicts_at_three);
+  EXPECT_EQ(oracle.cache5_hits(), 1u);
+
+  // A larger bound resumes the search at four gates and finds exactly the
+  // chain the cold unbounded oracle found, for the same total effort.
+  OracleTally tally;
+  const auto info = oracle.query(f, &tally, 6);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, expected->size);
+  EXPECT_EQ(info->depth, expected->depth);
+  EXPECT_EQ(info->input_depths, expected->input_depths);
+  EXPECT_EQ(tally.cache5_hits.load(), 1u);
+  EXPECT_EQ(tally.synthesized.load(), 0u);
+  EXPECT_EQ(tally.conflicts.load(), oracle.sat_conflicts() - conflicts_at_three);
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+  EXPECT_EQ(oracle.sat_conflicts(), cold.sat_conflicts());
+  stats = oracle.cache_stats();
+  EXPECT_EQ(stats.open, 0u);
+  EXPECT_EQ(stats.successes, 1u);
+  EXPECT_EQ(instantiated_blif(oracle, f), instantiated_blif(cold, f));
+
+  // A known chain larger than a query's bound is not an answer for it.
+  EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
+  EXPECT_TRUE(oracle.query(f, nullptr, 4).has_value());
+}
+
+TEST(OracleBoundTest, BoundBelowSupportBoundCreatesNoEntry) {
+  ReplacementOracle oracle(db(), five_input_params());
+  for (const uint32_t bound : {0u, 1u}) {
+    EXPECT_FALSE(oracle.query(maj5_table(), nullptr, bound).has_value());
+  }
+  EXPECT_EQ(oracle.queries(), 2u);
+  EXPECT_EQ(oracle.cache_stats().entries, 0u);
+  EXPECT_EQ(oracle.synthesized_count(), 0u);
+  EXPECT_EQ(oracle.cache5_hits(), 0u);
+  EXPECT_EQ(oracle.sat_conflicts(), 0u);
+  // 4-input lookups cost nothing and answer whatever the bound.
+  EXPECT_TRUE(oracle.query(tt::TruthTable(4, 0x6996), nullptr, 0).has_value());
+}
+
+TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
+  ScratchDir scratch("mighty_oracle_open");
+  const auto path = (scratch.dir / "c5.db").string();
+  const auto f = maj5_table();
+  {
+    ReplacementOracle oracle(db(), five_input_params());
+    EXPECT_FALSE(oracle.query(f, nullptr, 2).has_value());
+    ASSERT_EQ(oracle.save_cache(path), 1u);
+  }
+  const std::string text = file_text(path);
+  EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v2 1\n", 0), 0u) << text;
+  EXPECT_NE(text.find(f.to_hex() + " open 20000 "), std::string::npos) << text;
+  EXPECT_EQ(text.substr(text.size() - 3), " 3\n") << text;  // lower bound
+
+  ReplacementOracle oracle(db(), five_input_params());
+  ASSERT_EQ(oracle.load_cache(path).status, ReplacementOracle::CacheLoadStatus::loaded);
+  EXPECT_EQ(oracle.cache_stats().open, 1u);
+  EXPECT_EQ(oracle.save_cache(path), 0u);  // clean: the file holds exactly this
+  const auto info = oracle.query(f);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, 4u);
+  EXPECT_EQ(oracle.synthesized_count(), 0u) << "a resumed open entry is no new synthesis";
+  EXPECT_EQ(oracle.cache5_hits(), 1u);
+  ReplacementOracle cold(db(), five_input_params());
+  ASSERT_TRUE(cold.query(f).has_value());
+  EXPECT_EQ(instantiated_blif(oracle, f), instantiated_blif(cold, f));
+}
+
+TEST(OracleBoundTest, VersionOneFilesStillLoad) {
+  ScratchDir scratch("mighty_oracle_v1");
+  const auto path = (scratch.dir / "c5.db").string();
+  {
+    ReplacementOracle oracle(db(), five_input_params());
+    ASSERT_TRUE(oracle.query(maj5_table()).has_value());
+    ASSERT_EQ(oracle.save_cache(path), 1u);
+  }
+  const std::string body = file_text(path);
+  const auto entries = body.substr(body.find('\n') + 1);
+  const auto load = [&](const std::string& contents) {
+    std::istringstream is(contents);
+    ReplacementOracle oracle(db(), five_input_params());
+    const auto result = oracle.load_cache(is);
+    if (result.status == ReplacementOracle::CacheLoadStatus::loaded) {
+      EXPECT_TRUE(oracle.query(maj5_table()).has_value());
+      EXPECT_EQ(oracle.synthesized_count(), 0u);
+    }
+    return result.status;
+  };
+  EXPECT_EQ(load("mighty-mig-5cut-cache v1 1\n" + entries),
+            ReplacementOracle::CacheLoadStatus::loaded);
+  // Open records are a v2 addition: a v1 file carrying one is corrupt.
+  EXPECT_EQ(load("mighty-mig-5cut-cache v1 1\n1234abcd open 20000 10 3\n"),
+            ReplacementOracle::CacheLoadStatus::malformed);
+  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n1234abcd open 20000 10 1\n"),
+            ReplacementOracle::CacheLoadStatus::malformed);
+  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n1234abcd open 20000 10\n"),
+            ReplacementOracle::CacheLoadStatus::malformed);
+}
+
+TEST(OracleBoundTest, MergeRanksSuccessOverFailureOverOpen) {
+  const auto f = maj5_table();
+  const auto key = f.to_hex();
+  const auto merged = [&](const std::string& memory_line, const std::string& disk_line) {
+    ReplacementOracle oracle(db(), five_input_params());
+    std::istringstream mem("mighty-mig-5cut-cache v2 1\n" + memory_line + "\n");
+    EXPECT_EQ(oracle.load_cache(mem).status, ReplacementOracle::CacheLoadStatus::loaded);
+    std::istringstream disk("mighty-mig-5cut-cache v2 1\n" + disk_line + "\n");
+    return oracle.load_cache(disk).adopted;
+  };
+  const auto open3 = key + " open 20000 10 3";
+  const auto open4 = key + " open 20000 20 4";
+  const auto fail = key + " fail 20000 30";
+  EXPECT_EQ(merged(open3, open4), 1u);  // the search that went further wins
+  EXPECT_EQ(merged(open4, open3), 0u);
+  EXPECT_EQ(merged(open4, fail), 1u);   // failure beats open
+  EXPECT_EQ(merged(fail, open4), 0u);
 }
 
 TEST(OracleTest, FiveInputRewritingPreservesFunction) {

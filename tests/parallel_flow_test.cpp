@@ -8,6 +8,8 @@
 #include "gen/arith.hpp"
 #include "io/io.hpp"
 #include "mig/algebra/algebra.hpp"
+#include "mig/cuts.hpp"
+#include "mig/ffr.hpp"
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
 #include "tt/truth_table.hpp"
@@ -87,6 +89,67 @@ TEST(ParallelFlowTest, ParallelResultIsSatProvenEquivalent) {
   auto session = make_session(4);
   const auto out = Pipeline::parse("TF;BFD;size").run(m, session);
   EXPECT_EQ(cec::check_equivalence(m, out).status, cec::CecStatus::equivalent);
+}
+
+// --- size-bounded 5-input synthesis -------------------------------------------
+
+/// Every per-pass oracle counter, conflicts included.
+std::vector<uint64_t> oracle_counters(const FlowReport& report) {
+  std::vector<uint64_t> counters;
+  for (const auto& p : report.passes) {
+    counters.insert(counters.end(),
+                    {p.oracle_queries, p.oracle_answered, p.oracle_cache5_hits,
+                     p.oracle_synthesized, p.oracle_failures, p.oracle_conflicts});
+  }
+  return counters;
+}
+
+TEST(ParallelFlowTest, BoundedFiveInputFlowIsThreadCountInvariant) {
+  const auto m = algebra::depth_optimize(gen::make_adder_n(8));
+  auto s1 = make_session(1);
+  auto s3 = make_session(3);
+  FlowReport r1, r3;
+  const auto o1 = Pipeline::parse("TF5;size").run(m, s1, &r1);
+  const auto o3 = Pipeline::parse("TF5;size").run(m, s3, &r3);
+  EXPECT_EQ(to_blif(o1), to_blif(o3));
+  EXPECT_EQ(oracle_counters(r1), oracle_counters(r3));
+  EXPECT_GT(r1.oracle_synthesized, 0u);
+  EXPECT_GT(r1.oracle_conflicts, 0u);
+  EXPECT_EQ(s1.oracle().sat_conflicts(), s3.oracle().sat_conflicts());
+}
+
+TEST(ParallelFlowTest, SizeBoundNeverChangesThePlan) {
+  // A session whose oracle already knows the unbounded minimum of every
+  // 5-input cut function the TF5 pass can query must rewrite exactly like a
+  // cold session whose queries stop at the cone bound.
+  const auto m = algebra::depth_optimize(gen::make_adder_n(8));
+  auto cold = make_session(1);
+  const auto expected = Pipeline::parse("TF5;size").run(m, cold);
+  ASSERT_GT(cold.oracle().cache_stats().open, 0u) << "no query was cut short";
+
+  auto warm = make_session(1);
+  cuts::CutEnumerationParams cut_params;
+  cut_params.cut_size = 5;
+  const auto partition = ffr::compute_ffrs(m);
+  const auto boundary = ffr::ffr_boundary(partition);
+  cut_params.boundary = &boundary;
+  const auto cut_sets = cuts::enumerate_cuts(m, cut_params);
+  size_t prefilled = 0;
+  for (uint32_t v = 0; v < m.num_nodes(); ++v) {
+    if (!m.is_gate(v)) continue;
+    for (const auto& cut : cut_sets[v]) {
+      const auto f = mig::simulate_cut(m, v, cut.leaf_vector());
+      if (f.support_size() != 5) continue;
+      warm.oracle().query(f);
+      ++prefilled;
+    }
+  }
+  ASSERT_GT(prefilled, 0u);
+  EXPECT_EQ(warm.oracle().cache_stats().open, 0u);
+  FlowReport report;
+  const auto out = Pipeline::parse("TF5;size").run(m, warm, &report);
+  EXPECT_EQ(to_blif(out), to_blif(expected));
+  EXPECT_EQ(report.oracle_synthesized, 0u);
 }
 
 // --- session / script surface ------------------------------------------------

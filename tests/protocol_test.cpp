@@ -173,10 +173,12 @@ TEST(ProtocolTest, ResultRoundTripCarriesReport) {
   result.report.seconds = 0.25;
   result.report.oracle_queries = 42;
   result.report.oracle_cache5_hits = 17;
+  result.report.oracle_conflicts = 123456;
   flow::PassStats pass;
   pass.name = "TF";
   pass.size_before = 100;
   pass.size_after = 80;
+  pass.oracle_conflicts = 123456;
   result.report.passes.push_back(pass);
 
   const auto decoded = decode_result_ok(encode_result_ok(result));
@@ -187,9 +189,20 @@ TEST(ProtocolTest, ResultRoundTripCarriesReport) {
   EXPECT_EQ(decoded.report.seconds, 0.25);
   EXPECT_EQ(decoded.report.oracle_queries, 42u);
   EXPECT_EQ(decoded.report.oracle_cache5_hits, 17u);
+  EXPECT_EQ(decoded.report.oracle_conflicts, 123456u);
   ASSERT_EQ(decoded.report.passes.size(), 1u);
   EXPECT_EQ(decoded.report.passes[0].name, "TF");
   EXPECT_EQ(decoded.report.passes[0].size_after, 80u);
+  EXPECT_EQ(decoded.report.passes[0].oracle_conflicts, 123456u);
+}
+
+TEST(ProtocolTest, ManyMinimalPassRecordsAreNotAForgedCount) {
+  // Nameless pass records are the smallest a report can carry; the forged-
+  // count floor must still admit any number of them.
+  api::JobResult result;
+  result.report.passes.resize(500);
+  const auto decoded = decode_result_ok(encode_result_ok(result));
+  EXPECT_EQ(decoded.report.passes.size(), 500u);
 }
 
 TEST(ProtocolTest, ResultWithAbsurdPassCountIsMalformed) {
@@ -204,6 +217,7 @@ TEST(ProtocolTest, ResultWithAbsurdPassCountIsMalformed) {
   w.u32(0);
   w.u32(0);
   w.f64(0.0);
+  w.u64(0);  // oracle counters, conflicts last
   w.u64(0);
   w.u64(0);
   w.u64(0);

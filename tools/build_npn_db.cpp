@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
       ok = false;
     } else {
       const auto stats = oracle.cache_stats();
-      printf("5-cut cache: %zu entries at %s (%zu replacements, %zu failures)\n",
-             stats.entries, cache_path, stats.successes, stats.failures);
+      printf("5-cut cache: %zu entries at %s (%zu replacements, %zu failures, %zu open)\n",
+             stats.entries, cache_path, stats.successes, stats.failures, stats.open);
     }
     // A missing cache is normal (it appears on first save): nothing to lint.
     if (lint && result.status != Status::missing) {
