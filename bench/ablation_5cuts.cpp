@@ -5,7 +5,7 @@
 // synthesis with caching) on the arithmetic suite.
 
 #include "bench_util.hpp"
-#include "opt/rewrite.hpp"
+#include "flow/flow.hpp"
 #include "suite_common.hpp"
 
 using namespace mighty;
@@ -26,15 +26,15 @@ int main(int argc, char** argv) {
     const uint32_t s0 = benchmark.baseline.count_live_gates();
     printf("%-12s | %8u |", benchmark.name.c_str(), s0);
 
-    opt::RewriteStats four;
-    opt::functional_hashing(benchmark.baseline, db, opt::variant_params("TF"), &four);
+    // A fresh session per benchmark: every row pays for its own first-seen
+    // 5-input functions.
+    flow::Session session(db);
+    flow::FlowReport four, five;
+    flow::Pipeline::parse("TF").run(benchmark.baseline, session, &four);
     printf(" %8u %6u %6.2fs |", four.size_after, four.depth_after, four.seconds);
     fflush(stdout);
 
-    auto params = opt::variant_params("TF");
-    params.five_input_cuts = true;
-    opt::RewriteStats five;
-    opt::functional_hashing(benchmark.baseline, db, params, &five);
+    flow::Pipeline::parse("TF5").run(benchmark.baseline, session, &five);
     printf(" %8u %6u %6.2fs\n", five.size_after, five.depth_after, five.seconds);
     ratio4 += static_cast<double>(four.size_after) / s0;
     ratio5 += static_cast<double>(five.size_after) / s0;

@@ -4,7 +4,7 @@
 // trade-off the paper alludes to.
 
 #include "bench_util.hpp"
-#include "opt/rewrite.hpp"
+#include "flow/flow.hpp"
 #include "suite_common.hpp"
 
 using namespace mighty;
@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
   printf("Ablation: bottom-up candidate-list bound (variant BF)\n\n");
 
-  const auto db = exact::Database::load_or_build(exact::default_database_path());
+  flow::Session session;
   const auto baseline = algebra::depth_optimize(
       full ? gen::make_multiplier_n(64) : gen::make_multiplier_n(16));
   printf("input: multiplier, %u gates, depth %u\n\n", baseline.count_live_gates(),
@@ -27,10 +27,10 @@ int main(int argc, char** argv) {
       auto params = opt::variant_params("BF");
       params.max_candidates = candidates;
       params.max_combinations = combos;
-      opt::RewriteStats stats;
-      opt::functional_hashing(baseline, db, params, &stats);
-      printf("%10u %12u | %8u %6u %8.2f\n", candidates, combos, stats.size_after,
-             stats.depth_after, stats.seconds);
+      flow::FlowReport report;
+      flow::Pipeline().rewrite(params, "BF").run(baseline, session, &report);
+      printf("%10u %12u | %8u %6u %8.2f\n", candidates, combos, report.size_after,
+             report.depth_after, report.seconds);
       fflush(stdout);
     }
   }

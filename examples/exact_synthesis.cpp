@@ -3,7 +3,6 @@
 //
 //   $ ./build/examples/exact_synthesis 3 e8        # <x1 x2 x3>
 //   $ ./build/examples/exact_synthesis 4 6996      # 4-input parity
-//   $ ./build/examples/exact_synthesis 4 1ee1 --smt # use the SMT-BV encoder
 //
 // The first argument is the number of variables (up to 4 for quick results,
 // more is possible but slow), the second the truth table in hex (LSB =
@@ -11,7 +10,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 
@@ -46,10 +44,10 @@ void print_chain(const exact::MigChain& chain) {
 
 int main(int argc, char** argv) {
   const auto usage = [&] {
-    fprintf(stderr, "usage: %s <num_vars> <hex_truth_table> [--smt]\n", argv[0]);
+    fprintf(stderr, "usage: %s <num_vars> <hex_truth_table>\n", argv[0]);
     return 1;
   };
-  if (argc < 3) return usage();
+  if (argc != 3) return usage();
 
   // `std::stoul(argv[1])` unguarded would abort on "abc" (invalid_argument)
   // or "99999999999999999999" (out_of_range); parse and range-check instead.
@@ -71,20 +69,12 @@ int main(int argc, char** argv) {
   }
   printf("function: 0x%s over %u variables\n\n", f.to_hex().c_str(), num_vars);
 
-  exact::SynthesisOptions options;
-  if (argc > 3 && std::strcmp(argv[3], "--smt") == 0) {
-    options.encoder = exact::EncoderKind::smt;
-    printf("encoder: SMT bit-vector formulation (bit-blasted)\n");
-  } else {
-    printf("encoder: one-hot CNF\n");
-  }
-
-  const auto size_result = exact::synthesize_minimum_mig(f, options);
+  const auto size_result = exact::synthesize_minimum_mig(f);
   if (size_result.status != exact::SynthesisStatus::success) {
     printf("size-minimum synthesis did not complete\n");
     return 1;
   }
-  printf("\nminimum size: %u majority gates (depth %u)\n", size_result.chain.size(),
+  printf("minimum size: %u majority gates (depth %u)\n", size_result.chain.size(),
          size_result.chain.depth());
   print_chain(size_result.chain);
 

@@ -1,5 +1,7 @@
 #include "exact/database.hpp"
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -108,30 +110,64 @@ Database Database::load_or_build(const std::string& path, const SynthesisOptions
   return db;
 }
 
+namespace {
+
+/// npn::canonize of every 4-input function, filled on first lookup.  Slot f
+/// packs the canonization of the function with truth table f into one word:
+///   bits  0-15  representative truth table
+///   bits 16-23  transform.perm[0..3], two bits each
+///   bits 24-27  transform.input_negations
+///   bit  28     transform.output_negation
+///   bit  31     valid (0 = not yet computed)
+/// A hit is one relaxed load.  Canonization is pure, so threads that miss on
+/// the same slot at once store the same word, and no other memory is
+/// published through the slot: relaxed ordering is enough.
+constexpr uint32_t kCanonValid = 1u << 31;
+std::array<std::atomic<uint32_t>, 1u << 16> canon_table;
+
+uint32_t pack(const npn::CanonResult& canon) {
+  uint32_t word = static_cast<uint32_t>(canon.representative.bits());
+  for (uint32_t i = 0; i < 4; ++i) word |= uint32_t{canon.transform.perm[i]} << (16 + 2 * i);
+  word |= uint32_t{canon.transform.input_negations} << 24;
+  word |= uint32_t{canon.transform.output_negation} << 28;
+  return word | kCanonValid;
+}
+
+npn::CanonResult unpack(uint32_t word) {
+  npn::CanonResult canon;
+  canon.representative = tt::TruthTable(4, word & 0xffff);
+  canon.transform.num_vars = 4;
+  for (uint32_t i = 0; i < 4; ++i) {
+    canon.transform.perm[i] = static_cast<uint8_t>((word >> (16 + 2 * i)) & 3);
+  }
+  canon.transform.input_negations = static_cast<uint8_t>((word >> 24) & 0xf);
+  canon.transform.output_negation = ((word >> 28) & 1) != 0;
+  return canon;
+}
+
+npn::CanonResult canonize4(const tt::TruthTable& f4) {
+  std::atomic<uint32_t>& slot = canon_table[f4.bits()];
+  uint32_t word = slot.load(std::memory_order_relaxed);
+  if ((word & kCanonValid) == 0) {
+    word = pack(npn::canonize(f4));
+    slot.store(word, std::memory_order_relaxed);
+  }
+  return unpack(word);
+}
+
+}  // namespace
+
 Database::LookupResult Database::lookup(const tt::TruthTable& f) const {
   const auto f4 = f.num_vars() < 4 ? f.extend(4) : f;
   if (f4.num_vars() != 4) {
     throw std::invalid_argument("database lookup requires at most 4 variables");
   }
-  LookupStripe& stripe = lookup_stripe(f4.bits());
-  {
-    util::MutexLock lock(stripe.mutex);
-    if (const auto cached = stripe.map.find(f4.bits()); cached != stripe.map.end()) {
-      return cached->second;
-    }
-  }
-  // Canonize outside the lock: it is pure, and it dominates the miss cost.
-  // Two shards missing on the same function both compute the same result;
-  // emplace keeps the first and the duplicate is discarded.
-  auto canon = npn::canonize(f4);
+  const auto canon = canonize4(f4);
   const auto it = index_.find(canon.representative.bits());
   if (it == index_.end()) {
     throw std::logic_error("NPN class missing from database");  // cannot happen when complete
   }
-  const LookupResult result{&entries_[it->second], canon.transform};
-  util::MutexLock lock(stripe.mutex);
-  stripe.map.emplace(f4.bits(), result);
-  return result;
+  return {&entries_[it->second], canon.transform};
 }
 
 mig::Signal Database::instantiate(const tt::TruthTable& f, mig::Mig& mig,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -12,7 +11,6 @@
 #include "exact/exact_synthesis.hpp"
 #include "npn/npn.hpp"
 #include "tt/truth_table.hpp"
-#include "util/mutex.hpp"
 
 /// \file database.hpp
 /// \brief The precomputed database of minimum MIGs for all 222 NPN classes of
@@ -33,33 +31,14 @@ struct DatabaseEntry {
   double build_seconds = 0.0;
 };
 
+/// The entries and their index, nothing else: lookups canonize through one
+/// process-wide table (database.cpp), so a Database copies and moves as a
+/// plain value.
 class Database {
 public:
-  Database() = default;
-  /// Copies and moves transfer the entries but start with a cold lookup
-  /// memo: cached LookupResults hold pointers into the source's entry
-  /// storage, and the memo's stripe locks are not transferable anyway.
-  Database(const Database& other) : entries_(other.entries_), index_(other.index_) {}
-  Database(Database&& other) noexcept
-      : entries_(std::move(other.entries_)), index_(std::move(other.index_)) {}
-  Database& operator=(const Database& other) {
-    if (this != &other) {
-      entries_ = other.entries_;
-      index_ = other.index_;
-      clear_lookup_cache();
-    }
-    return *this;
-  }
-  Database& operator=(Database&& other) noexcept {
-    entries_ = std::move(other.entries_);
-    index_ = std::move(other.index_);
-    clear_lookup_cache();
-    return *this;
-  }
-
   /// Builds the database by exact synthesis over all 222 class
   /// representatives.  `options` tunes the underlying synthesis (budget,
-  /// encoder).  Throws std::runtime_error if any class fails to synthesize
+  /// encoding).  Throws std::runtime_error if any class fails to synthesize
   /// within the options' limits.
   static Database build(const SynthesisOptions& options = {});
 
@@ -80,7 +59,9 @@ public:
   /// variables.  Returns the NPN canonization result alongside the entry, so
   /// the caller can instantiate the stored chain with transformed leaves:
   ///   f == apply(entry.representative, inverse(transform)).
-  /// Thread-safe: concurrent lookups share the striped canonization memo.
+  /// Thread-safe and lock-free: the canonization of each of the 2^16
+  /// functions is computed on its first lookup in the process and read back
+  /// from a table of atomic words ever after.
   struct LookupResult {
     const DatabaseEntry* entry;
     npn::Transform transform;  ///< canonizing transform of the query
@@ -103,28 +84,6 @@ public:
 private:
   std::vector<DatabaseEntry> entries_;
   std::unordered_map<uint64_t, size_t> index_;  ///< representative bits -> entry
-  /// Canonization memo: cut functions repeat massively during rewriting, so
-  /// lookups cache the full result keyed by the query's bits.  Lookups are
-  /// the hottest operation of every rewriting shard, so the memo is striped:
-  /// each stripe guards its own map, canonization happens outside any lock
-  /// (it is pure), and a racing duplicate insert is harmlessly dropped by
-  /// emplace.  Results are returned by value, never by reference into a map.
-  struct LookupStripe {
-    util::Mutex mutex{util::LockRank::db_lookup_stripe};
-    std::unordered_map<uint64_t, LookupResult> map MIGHTY_GUARDED_BY(mutex);
-  };
-  static constexpr size_t kLookupStripes = 64;
-  mutable std::array<LookupStripe, kLookupStripes> lookup_cache_;
-
-  LookupStripe& lookup_stripe(uint64_t bits) const {
-    return lookup_cache_[(bits * 0x9e3779b97f4a7c15ull) >> 58 & (kLookupStripes - 1)];
-  }
-  void clear_lookup_cache() {
-    for (auto& stripe : lookup_cache_) {
-      util::MutexLock lock(stripe.mutex);
-      stripe.map.clear();
-    }
-  }
 };
 
 /// Default on-disk location used by tools, benches and tests: the

@@ -114,7 +114,7 @@ void OnehotEncoder::encode() {
   }
 
   // Function semantics on the root gate (paper eq. (9), without the output
-  // polarity; see encoding.hpp).
+  // polarity; see encoding_onehot.hpp).
   for (uint32_t j = 0; j < rows_; ++j) {
     solver_.add_clause({lit(b_[k_ - 1][j], !f_.get_bit(j))});
   }

@@ -1,15 +1,12 @@
 #include "exact/exact_synthesis.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "exact/depth_table.hpp"
-#include "exact/encoding_onehot.hpp"
-#include "exact/encoding_smt.hpp"
 #include "mig/simulation.hpp"
 #include "npn/npn.hpp"
-#include "smt/bitvector.hpp"
+#include "smt/context.hpp"
 
 namespace mighty::exact {
 
@@ -52,13 +49,8 @@ SynthesisResult synthesize_minimum_mig(const tt::TruthTable& f,
 
   for (uint32_t k = std::max(options.min_gates, 1u); k <= options.max_gates; ++k) {
     sat::Solver solver;
-    std::unique_ptr<Encoder> encoder;
-    if (options.encoder == EncoderKind::onehot) {
-      encoder = std::make_unique<OnehotEncoder>(solver, f, k, options.encode);
-    } else {
-      encoder = std::make_unique<SmtEncoder>(solver, f, k, options.encode);
-    }
-    encoder->encode();
+    OnehotEncoder encoder(solver, f, k, options.encode);
+    encoder.encode();
     const sat::Result r = solver.solve({}, options.conflict_limit);
     result.conflicts_per_step.push_back(solver.stats().conflicts);
     if (r == sat::Result::unknown) {
@@ -66,7 +58,7 @@ SynthesisResult synthesize_minimum_mig(const tt::TruthTable& f,
       return result;
     }
     if (r == sat::Result::sat) {
-      result.chain = encoder->extract();
+      result.chain = encoder.extract();
       if (options.verify && result.chain.simulate() != f) {
         throw std::logic_error("exact synthesis extracted a non-equivalent chain");
       }

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "exact/chain.hpp"
-#include "exact/encoding.hpp"
+#include "exact/encoding_onehot.hpp"
 #include "tt/truth_table.hpp"
 
 /// \file exact_synthesis.hpp
@@ -20,8 +20,6 @@
 
 namespace mighty::exact {
 
-enum class EncoderKind { onehot, smt };
-
 struct SynthesisOptions {
   /// First gate count tried.  A caller that has already proven no smaller
   /// chain exists (k gates reach at most 2k + 1 inputs; earlier UNSAT
@@ -31,7 +29,6 @@ struct SynthesisOptions {
   uint32_t max_gates = 20;
   /// Conflict budget per decision problem; -1 = unlimited.
   int64_t conflict_limit = -1;
-  EncoderKind encoder = EncoderKind::onehot;
   EncodeOptions encode;
   /// If set, the chain is re-simulated and checked against f after
   /// extraction (cheap; on by default as a safety net).

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "check/check.hpp"
@@ -27,30 +26,12 @@ public:
 
   mig::Mig run(const mig::Mig& mig, Session& session,
                FlowReport& report) const override {
-    // 5-input passes whose oracle budget differs from the session's cannot
-    // share the session oracle (its synthesis results depend on the budget);
-    // they fall back to a private per-pass oracle, like the legacy API.
-    const auto& session_oracle = session.params().oracle;
-    const bool needs_private_oracle =
-        params_.five_input_cuts &&
-        (!session_oracle.enable_five_input ||
-         session_oracle.synthesis_conflict_limit != params_.synthesis_conflict_limit);
-    std::optional<opt::ReplacementOracle> private_oracle;
-    if (needs_private_oracle) {
-      opt::OracleParams oracle_params;
-      oracle_params.enable_five_input = true;
-      oracle_params.synthesis_conflict_limit = params_.synthesis_conflict_limit;
-      private_oracle.emplace(session.database(), oracle_params);
-    }
-    opt::ReplacementOracle& oracle =
-        private_oracle ? *private_oracle : session.oracle();
-
     opt::RewriteStats stats;
     // The session's worker pool is injected at run time, so one Pipeline can
     // serve sessions of any parallelism (results are identical either way).
     opt::RewriteParams params = params_;
     params.pool = session.worker_pool();
-    auto result = opt::functional_hashing(mig, oracle, params, &stats);
+    auto result = opt::functional_hashing(mig, session.oracle(), params, &stats);
 
     PassStats entry;
     entry.name = name_;

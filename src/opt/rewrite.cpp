@@ -52,15 +52,6 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
   return result;
 }
 
-mig::Mig functional_hashing(const mig::Mig& mig, const exact::Database& db,
-                            const RewriteParams& params, RewriteStats* stats) {
-  OracleParams oracle_params;
-  oracle_params.enable_five_input = params.five_input_cuts;
-  oracle_params.synthesis_conflict_limit = params.synthesis_conflict_limit;
-  ReplacementOracle oracle(db, oracle_params);
-  return functional_hashing(mig, oracle, params, stats);
-}
-
 RewriteParams variant_params(const std::string& acronym) {
   RewriteParams params;
   for (const char raw : acronym) {

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "exact/database.hpp"
+#include "exact/chain.hpp"
 #include "mig/cuts.hpp"
 #include "mig/mig.hpp"
 
@@ -48,10 +48,9 @@ struct RewriteParams {
   uint32_t max_combinations = 16;
   /// Extension discussed in the paper (Sec. IV, ref. [9]): also rewrite
   /// 5-input cuts, with minimum structures synthesized on demand and cached
-  /// (the full 5-variable NPN enumeration being impractical).
+  /// (the full 5-variable NPN enumeration being impractical) by the oracle,
+  /// under the oracle's budget (OracleParams).
   bool five_input_cuts = false;
-  /// Conflict budget per on-demand synthesis decision problem.
-  int64_t synthesis_conflict_limit = 20000;
   /// Worker pool for the fanout-free-region variants: their per-region
   /// analysis (cut enumeration, simulation, oracle queries, candidate
   /// search) runs on balanced FFR shards concurrently, followed by a
@@ -86,16 +85,9 @@ struct RewriteStats {
 
 /// Applies one pass of functional hashing over a caller-owned replacement
 /// oracle, so its caches (5-input synthesis results, hit statistics) persist
-/// across passes.  This is the primary entry point; multi-pass scripts should
-/// prefer the `flow::Session` / `flow::Pipeline` API, which owns the oracle.
+/// across passes.  Scripts of passes go through `flow::Pipeline`, whose
+/// rewrite passes call this with the `flow::Session`'s oracle.
 mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
-                            const RewriteParams& params = {},
-                            RewriteStats* stats = nullptr);
-
-/// Single-shot convenience overload: builds a private oracle per call.
-/// Deprecated shim for pre-`flow` callers — nothing is shared between calls,
-/// so iterated flows pay the oracle warm-up every pass.
-mig::Mig functional_hashing(const mig::Mig& mig, const exact::Database& db,
                             const RewriteParams& params = {},
                             RewriteStats* stats = nullptr);
 

@@ -10,8 +10,8 @@
 /// The paper solves its exact-synthesis decision problems with the SMT solver
 /// Z3 over quantifier-free bit-vectors.  Z3 decides such instances by
 /// bit-blasting to propositional SAT; this module provides the SAT engine for
-/// our reproduction of that pipeline (see `smt/bitvector.hpp` for the
-/// bit-blaster and `exact/` for the encodings).
+/// our reproduction of that pipeline (see `exact/encoding_onehot.hpp` for the
+/// bit-blasted encoding).
 ///
 /// Features: two-literal watching, first-UIP conflict analysis with clause
 /// minimization, VSIDS decision heuristic with phase saving, Luby restarts,

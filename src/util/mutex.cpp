@@ -16,7 +16,6 @@ const char* lock_rank_name(LockRank rank) {
     case LockRank::flow_session_persist: return "flow::Session::persist_mutex_";
     case LockRank::oracle_persist: return "opt::ReplacementOracle::persist_mutex_";
     case LockRank::oracle_stripe: return "opt::ReplacementOracle stripe";
-    case LockRank::db_lookup_stripe: return "exact::Database lookup stripe";
     case LockRank::pool_queue: return "util::ThreadPool::mutex_";
     case LockRank::pool_for_job: return "util::ThreadPool ForJob::mutex";
     case LockRank::test_outer: return "test_outer";

@@ -59,7 +59,6 @@ enum class LockRank : uint8_t {
   flow_session_persist,      ///< flow::Session::persist() choke point
   oracle_persist,            ///< opt::ReplacementOracle persisted-path state
   oracle_stripe,             ///< opt::ReplacementOracle 5-cut cache stripes
-  db_lookup_stripe,          ///< exact::Database lookup-memo stripes
   pool_queue,                ///< util::ThreadPool queue + group states
   pool_for_job,              ///< util::ThreadPool per-parallel_for job state
   test_outer,                ///< reserved for tests/lock_order_test.cpp

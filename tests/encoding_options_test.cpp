@@ -79,16 +79,5 @@ TEST(EncodingOptionsTest, FourVariableSpotCheckWithFullPruning) {
   EXPECT_EQ(r.chain.size(), 7u);
 }
 
-TEST(EncodingOptionsTest, SmtEncoderHonorsOptionToggles) {
-  SynthesisOptions smt;
-  smt.encoder = EncoderKind::smt;
-  smt.encode.operand_ordering = false;
-  const auto xor3 = tt::TruthTable::projection(3, 0) ^ tt::TruthTable::projection(3, 1) ^
-                    tt::TruthTable::projection(3, 2);
-  const auto r = synthesize_minimum_mig(xor3, smt);
-  ASSERT_EQ(r.status, SynthesisStatus::success);
-  EXPECT_EQ(r.chain.size(), 3u);
-}
-
 }  // namespace
 }  // namespace mighty::exact

@@ -132,30 +132,6 @@ TEST(ExactSynthesisTest, NpnEquivalentFunctionsHaveSameSize) {
   }
 }
 
-// Every 3-variable NPN class synthesizes successfully with both encoders and
-// the two agree on the minimum size.
-class EncoderAgreementTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(EncoderAgreementTest, OnehotAndSmtAgree) {
-  const auto classes = npn::enumerate_classes(3);
-  const auto& f = classes[static_cast<size_t>(GetParam())];
-
-  SynthesisOptions onehot;
-  onehot.encoder = EncoderKind::onehot;
-  SynthesisOptions smt;
-  smt.encoder = EncoderKind::smt;
-
-  const auto r1 = synthesize_minimum_mig(f, onehot);
-  const auto r2 = synthesize_minimum_mig(f, smt);
-  ASSERT_EQ(r1.status, SynthesisStatus::success);
-  ASSERT_EQ(r2.status, SynthesisStatus::success);
-  EXPECT_EQ(r1.chain.size(), r2.chain.size());
-  EXPECT_EQ(r1.chain.simulate(), f);
-  EXPECT_EQ(r2.chain.simulate(), f);
-}
-
-INSTANTIATE_TEST_SUITE_P(All3VarClasses, EncoderAgreementTest, ::testing::Range(0, 14));
-
 TEST(ExactSynthesisTest, TimeoutIsReported) {
   // The 4-input parity with a conflict budget of 1 cannot complete.
   const auto parity = TruthTable(4, 0x6996);

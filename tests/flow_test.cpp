@@ -534,26 +534,25 @@ TEST(FlowReportTest, EmptyPipelineIsIdentity) {
   EXPECT_TRUE(cec::random_simulation_equal(m, out, 8, 5));
 }
 
-// --- equivalence with the legacy single-shot API -----------------------------
+// --- composition -------------------------------------------------------------
 
-TEST(FlowEquivalenceTest, ParsedPipelineMatchesLegacySequentialCalls) {
+TEST(FlowEquivalenceTest, ParsedPipelineMatchesSequentialRuns) {
   auto session = make_session();
   const auto m = algebra::depth_optimize(gen::make_multiplier_n(6));
 
-  // Legacy: two independent single-shot calls, each with a private oracle.
-  const auto legacy = opt::functional_hashing(
-      opt::functional_hashing(m, db(), opt::variant_params("TF")), db(),
-      opt::variant_params("BFD"));
+  // One pipeline per pass, each run on the previous one's output.
+  const auto sequential = Pipeline().rewrite("BFD").run(
+      Pipeline().rewrite("TF").run(m, session), session);
 
   FlowReport report;
   const auto piped = Pipeline::parse("TF;BFD").run(m, session, &report);
 
   // The flow must be functionally equivalent to the input (full SAT proof)
-  // and at least as small as the legacy composition.
+  // and produce the same network as the passes run one by one.
   EXPECT_EQ(cec::check_equivalence(m, piped).status, cec::CecStatus::equivalent);
-  EXPECT_EQ(cec::check_equivalence(legacy, piped).status,
+  EXPECT_EQ(cec::check_equivalence(sequential, piped).status,
             cec::CecStatus::equivalent);
-  EXPECT_LE(piped.count_live_gates(), legacy.count_live_gates());
+  EXPECT_EQ(piped.count_live_gates(), sequential.count_live_gates());
   EXPECT_EQ(report.size_after, piped.count_live_gates());
 }
 

@@ -8,6 +8,7 @@
 #include "gen/arith.hpp"
 #include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
+#include "opt/oracle.hpp"
 #include "test_util.hpp"
 
 namespace mighty::opt {
@@ -139,6 +140,7 @@ TEST(RewriteUtilTest, VariantParamsParse) {
 TEST(RewriteTest, ReducesRedundantParityToOptimum) {
   // 4-input parity built from three 3-gate XORs (9 gates); one 4-cut
   // replacement must reach the database optimum for the whole function.
+  ReplacementOracle oracle(db());
   mig::Mig m;
   const auto pis = m.create_pis(4);
   const auto x01 = m.create_xor(pis[0], pis[1]);
@@ -150,7 +152,7 @@ TEST(RewriteTest, ReducesRedundantParityToOptimum) {
   const uint32_t optimum = db().lookup(parity).entry->chain.size();
 
   RewriteStats stats;
-  const auto optimized = functional_hashing(m, db(), variant_params("T"), &stats);
+  const auto optimized = functional_hashing(m, oracle, variant_params("T"), &stats);
   EXPECT_EQ(optimized.count_live_gates(), optimum);
   EXPECT_EQ(mig::output_truth_tables(optimized)[0], parity);
   EXPECT_GE(stats.replacements, 1u);
@@ -161,11 +163,12 @@ TEST(RewriteTest, ReducesRedundantParityToOptimum) {
 class VariantTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(VariantTest, PreservesFunctionOnRandomNetworks) {
+  ReplacementOracle oracle(db());
   const auto params = variant_params(GetParam());
   for (uint32_t seed = 0; seed < 6; ++seed) {
     const auto m = testutil::random_mig(6, 60, 5, 42 + seed);
     RewriteStats stats;
-    const auto optimized = functional_hashing(m, db(), params, &stats);
+    const auto optimized = functional_hashing(m, oracle, params, &stats);
     const auto r = cec::check_equivalence(m, optimized);
     EXPECT_EQ(r.status, cec::CecStatus::equivalent)
         << GetParam() << " seed " << seed;
@@ -176,10 +179,11 @@ TEST_P(VariantTest, PreservesFunctionOnRandomNetworks) {
 }
 
 TEST_P(VariantTest, PreservesFunctionOnArithmetic) {
+  ReplacementOracle oracle(db());
   const auto params = variant_params(GetParam());
   const auto m = gen::make_multiplier_n(6);
   RewriteStats stats;
-  const auto optimized = functional_hashing(m, db(), params, &stats);
+  const auto optimized = functional_hashing(m, oracle, params, &stats);
   const auto r = cec::check_equivalence(m, optimized);
   EXPECT_EQ(r.status, cec::CecStatus::equivalent) << GetParam();
   EXPECT_GT(stats.size_before, 0u);
@@ -193,16 +197,18 @@ TEST(RewriteTest, TopDownReducesDepthOptimizedMultiplier) {
   // Paper pipeline: the functional-hashing input is a depth-optimized MIG
   // (Sec. V-C: "Most of the best results were obtained using the depth
   // reduction proposed in [3] and [4]").
+  ReplacementOracle oracle(db());
   const auto baseline = algebra::depth_optimize(gen::make_multiplier_n(8));
   RewriteStats stats;
-  const auto optimized = functional_hashing(baseline, db(), variant_params("TF"), &stats);
+  const auto optimized = functional_hashing(baseline, oracle, variant_params("TF"), &stats);
   EXPECT_LT(stats.size_after, stats.size_before);
 }
 
 TEST(RewriteTest, BottomUpReducesDepthOptimizedMultiplier) {
+  ReplacementOracle oracle(db());
   const auto baseline = algebra::depth_optimize(gen::make_multiplier_n(8));
   RewriteStats stats;
-  functional_hashing(baseline, db(), variant_params("B"), &stats);
+  functional_hashing(baseline, oracle, variant_params("B"), &stats);
   EXPECT_LT(stats.size_after, stats.size_before);
 }
 
@@ -210,28 +216,31 @@ TEST(RewriteTest, PipelineEquivalenceOnAdder) {
   // End-to-end: generate -> algebraic depth optimization -> functional
   // hashing, then prove equivalence against the original generator output
   // with the SAT miter (adder miters are easy).
+  ReplacementOracle oracle(db());
   const auto m = gen::make_adder_n(16);
   const auto baseline = algebra::depth_optimize(m);
   for (const auto& variant : {"TF", "BF"}) {
-    const auto optimized = functional_hashing(baseline, db(), variant_params(variant));
+    const auto optimized = functional_hashing(baseline, oracle, variant_params(variant));
     EXPECT_EQ(cec::check_equivalence(m, optimized).status, cec::CecStatus::equivalent)
         << variant;
   }
 }
 
 TEST(RewriteTest, DepthPreservingVariantKeepsDepthOnMultiplier) {
+  ReplacementOracle oracle(db());
   const auto baseline = algebra::depth_optimize(gen::make_multiplier_n(8));
   RewriteStats stats;
-  functional_hashing(baseline, db(), variant_params("TD"), &stats);
+  functional_hashing(baseline, oracle, variant_params("TD"), &stats);
   EXPECT_EQ(stats.depth_after, stats.depth_before);
   EXPECT_LE(stats.size_after, stats.size_before);
 }
 
 TEST(RewriteTest, DepthPreservingVariantLimitsDepthGrowth) {
+  ReplacementOracle oracle(db());
   const auto m = gen::make_adder_n(16);
   RewriteStats t_stats, td_stats;
-  functional_hashing(m, db(), variant_params("T"), &t_stats);
-  functional_hashing(m, db(), variant_params("TD"), &td_stats);
+  functional_hashing(m, oracle, variant_params("T"), &t_stats);
+  functional_hashing(m, oracle, variant_params("TD"), &td_stats);
   // The depth-preserving heuristic must never be worse in depth than the
   // unconstrained variant on this structured input.
   EXPECT_LE(td_stats.depth_after, t_stats.depth_after + 1);
@@ -239,6 +248,7 @@ TEST(RewriteTest, DepthPreservingVariantLimitsDepthGrowth) {
 
 TEST(RewriteTest, IdempotentOnDatabaseOptimum) {
   // A network that is already a database optimum cannot shrink further.
+  ReplacementOracle oracle(db());
   std::mt19937 rng(11);
   for (int i = 0; i < 20; ++i) {
     const tt::TruthTable f(4, rng());
@@ -246,7 +256,7 @@ TEST(RewriteTest, IdempotentOnDatabaseOptimum) {
     const auto pis = m.create_pis(4);
     m.create_po(db().instantiate(f, m, pis));
     const uint32_t before = m.count_live_gates();
-    const auto optimized = functional_hashing(m, db(), variant_params("T"));
+    const auto optimized = functional_hashing(m, oracle, variant_params("T"));
     EXPECT_EQ(optimized.count_live_gates(), before) << "f=0x" << f.to_hex();
   }
 }

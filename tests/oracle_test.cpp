@@ -574,8 +574,9 @@ TEST(OracleTest, FiveInputRewritingPreservesFunction) {
   const auto baseline = algebra::depth_optimize(gen::make_adder_n(10));
   auto params = variant_params("TF");
   params.five_input_cuts = true;
+  ReplacementOracle oracle(db(), {.enable_five_input = true});
   RewriteStats stats;
-  const auto optimized = functional_hashing(baseline, db(), params, &stats);
+  const auto optimized = functional_hashing(baseline, oracle, params, &stats);
   EXPECT_EQ(cec::check_equivalence(baseline, optimized).status,
             cec::CecStatus::equivalent);
   EXPECT_LE(stats.size_after, stats.size_before);
@@ -583,11 +584,12 @@ TEST(OracleTest, FiveInputRewritingPreservesFunction) {
 
 TEST(OracleTest, FiveInputRewritingAtLeastMatchesFourInput) {
   const auto baseline = algebra::depth_optimize(gen::make_sine_n(8));
+  ReplacementOracle oracle(db(), {.enable_five_input = true});
   RewriteStats four, five;
-  functional_hashing(baseline, db(), variant_params("TF"), &four);
+  functional_hashing(baseline, oracle, variant_params("TF"), &four);
   auto params = variant_params("TF");
   params.five_input_cuts = true;
-  functional_hashing(baseline, db(), params, &five);
+  functional_hashing(baseline, oracle, params, &five);
   // Wider cuts see strictly more replacement opportunities.
   EXPECT_LE(five.size_after, four.size_after);
 }

@@ -9,6 +9,7 @@
 #include "exact/database.hpp"
 #include "gen/arith.hpp"
 #include "mig/algebra/algebra.hpp"
+#include "opt/oracle.hpp"
 #include "opt/rewrite.hpp"
 
 namespace mighty {
@@ -50,9 +51,10 @@ TEST_P(SuiteVariantTest, PipelinePreservesFunction) {
 
   const auto original = benchmark.make();
   const auto baseline = algebra::depth_optimize(original);
+  opt::ReplacementOracle oracle(db());
   opt::RewriteStats stats;
-  const auto optimized = opt::functional_hashing(
-      baseline, db(), opt::variant_params(variant), &stats);
+  const auto optimized =
+      opt::functional_hashing(baseline, oracle, opt::variant_params(variant), &stats);
 
   // Strong random filter first (cheap), then a budgeted SAT proof; the
   // budget is generous for these widths except multiplier-like miters, where
@@ -100,11 +102,12 @@ TEST(SuitePipelineTest, DepthOptimizationNeverIncreasesDepth) {
 TEST(SuitePipelineTest, RewritingAfterRewritingConverges) {
   // A second pass must not undo the first one's gains.
   const auto baseline = algebra::depth_optimize(gen::make_multiplier_n(8));
+  opt::ReplacementOracle oracle(db());
   opt::RewriteStats first, second;
-  const auto once = opt::functional_hashing(baseline, db(), opt::variant_params("TF"),
-                                            &first);
-  const auto twice = opt::functional_hashing(once, db(), opt::variant_params("TF"),
-                                             &second);
+  const auto once =
+      opt::functional_hashing(baseline, oracle, opt::variant_params("TF"), &first);
+  const auto twice =
+      opt::functional_hashing(once, oracle, opt::variant_params("TF"), &second);
   EXPECT_LE(second.size_after, first.size_after);
   EXPECT_TRUE(cec::random_simulation_equal(baseline, twice, 32, 5));
 }

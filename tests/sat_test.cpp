@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
-
-#include "sat/dimacs.hpp"
 
 namespace mighty::sat {
 namespace {
@@ -212,35 +209,6 @@ TEST(SatTest, StatsAreTracked) {
   s.add_clause({lit(a), lit(b)});
   s.solve();
   EXPECT_GE(s.stats().decisions, 1u);
-}
-
-TEST(DimacsTest, RoundTrip) {
-  Cnf cnf;
-  cnf.num_vars = 3;
-  cnf.clauses = {{lit(0), lit(1, true)}, {lit(2)}};
-  std::stringstream ss;
-  write_dimacs(ss, cnf);
-  const Cnf back = read_dimacs(ss);
-  EXPECT_EQ(back.num_vars, 3);
-  ASSERT_EQ(back.clauses.size(), 2u);
-  EXPECT_EQ(back.clauses[0], cnf.clauses[0]);
-  EXPECT_EQ(back.clauses[1], cnf.clauses[1]);
-}
-
-TEST(DimacsTest, LoadIntoSolver) {
-  Cnf cnf;
-  cnf.num_vars = 2;
-  cnf.clauses = {{lit(0)}, {lit(0, true), lit(1)}};
-  Solver s;
-  EXPECT_TRUE(load_into_solver(cnf, s));
-  EXPECT_EQ(s.solve(), Result::sat);
-  EXPECT_TRUE(s.model_value(0));
-  EXPECT_TRUE(s.model_value(1));
-}
-
-TEST(DimacsTest, RejectsMalformedHeader) {
-  std::stringstream ss("p dnf 2 1\n1 0\n");
-  EXPECT_THROW(read_dimacs(ss), std::runtime_error);
 }
 
 }  // namespace

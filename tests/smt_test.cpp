@@ -1,8 +1,6 @@
-#include "smt/bitvector.hpp"
+#include "smt/context.hpp"
 
 #include <gtest/gtest.h>
-
-#include <random>
 
 namespace mighty::smt {
 namespace {
@@ -15,77 +13,23 @@ TEST(SmtTest, TrueAndFalseLiterals) {
   EXPECT_FALSE(solver.model_value_lit(ctx.false_lit()));
 }
 
-TEST(SmtTest, ConstantsHaveExpectedModelValues) {
-  sat::Solver solver;
-  Context ctx(solver);
-  const auto v = ctx.bv_constant(0b1011, 4);
-  ASSERT_EQ(solver.solve(), sat::Result::sat);
-  EXPECT_EQ(ctx.model_value(v), 0b1011u);
-}
-
-TEST(SmtTest, EqForcesEquality) {
-  sat::Solver solver;
-  Context ctx(solver);
-  const auto a = ctx.bv_variable(5);
-  const auto b = ctx.bv_constant(19, 5);
-  ctx.assert_lit(ctx.eq(a, b));
-  ASSERT_EQ(solver.solve(), sat::Result::sat);
-  EXPECT_EQ(ctx.model_value(a), 19u);
-}
-
-TEST(SmtTest, UltSemantics) {
-  std::mt19937 rng(5);
-  for (int i = 0; i < 20; ++i) {
-    const uint64_t x = rng() & 0xff;
-    const uint64_t y = rng() & 0xff;
-    sat::Solver solver;
-    Context ctx(solver);
-    const auto a = ctx.bv_constant(x, 8);
-    const auto b = ctx.bv_constant(y, 8);
-    ctx.assert_lit(ctx.ult(a, b));
-    EXPECT_EQ(solver.solve(), x < y ? sat::Result::sat : sat::Result::unsat)
-        << x << " < " << y;
-  }
-}
-
-TEST(SmtTest, UleSemantics) {
-  sat::Solver solver;
-  Context ctx(solver);
-  const auto a = ctx.bv_variable(4);
-  ctx.assert_lit(ctx.ule(a, ctx.bv_constant(3, 4)));
-  ctx.assert_lit(ctx.ult(ctx.bv_constant(2, 4), a));
-  ASSERT_EQ(solver.solve(), sat::Result::sat);
-  EXPECT_EQ(ctx.model_value(a), 3u);
-}
-
-TEST(SmtTest, UnsatRangeConflict) {
-  sat::Solver solver;
-  Context ctx(solver);
-  const auto a = ctx.bv_variable(3);
-  ctx.assert_lit(ctx.ult_const(a, 2));
-  ctx.assert_lit(ctx.ult(ctx.bv_constant(5, 3), a));
-  EXPECT_EQ(solver.solve(), sat::Result::unsat);
-}
-
 TEST(SmtTest, BooleanGadgets) {
-  std::mt19937 rng(6);
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < 8; ++i) {
     const bool x = (i & 1) != 0;
     const bool y = (i & 2) != 0;
     const bool z = (i & 4) != 0;
     sat::Solver solver;
     Context ctx(solver);
-    const auto lx = ctx.literal(x);
-    const auto ly = ctx.literal(y);
-    const auto lz = ctx.literal(z);
+    const auto constant = [&](bool value) { return value ? ctx.true_lit() : ctx.false_lit(); };
+    const auto lx = constant(x);
+    const auto ly = constant(y);
+    const auto lz = constant(z);
     const auto g_and = ctx.make_and(lx, ly);
     const auto g_or = ctx.make_or(lx, ly);
-    const auto g_xor = ctx.make_xor(lx, ly);
     const auto g_maj = ctx.make_maj(lx, ly, lz);
     ASSERT_EQ(solver.solve(), sat::Result::sat);
     EXPECT_EQ(solver.model_value_lit(g_and), x && y);
     EXPECT_EQ(solver.model_value_lit(g_or), x || y);
-    EXPECT_EQ(solver.model_value_lit(g_xor), x != y);
     EXPECT_EQ(solver.model_value_lit(g_maj), (x && y) || (x && z) || (y && z));
   }
 }

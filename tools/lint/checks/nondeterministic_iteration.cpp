@@ -14,12 +14,11 @@
 /// `// mighty-lint: allow(nondeterministic-iteration): ...` stating why the
 /// loop body is order-independent.  Scoped to src/ (production code).
 ///
-/// The portable engine has no types, so it resolves names lexically, in
+/// The token stream has no types, so the check resolves names lexically, in
 /// precision order: declarations in the file itself and its quoted-include
 /// closure first, then a project-global table used only when every
 /// declaration of that name in the whole tree agrees on unordered-ness.
-/// Ambiguous names are skipped (conservative); the AST engine resolves the
-/// real type.
+/// Ambiguous names are skipped (conservative).
 
 namespace mighty::lint {
 
@@ -226,8 +225,8 @@ private:
 
     if (colon != 0 && (semi == 0 || colon < semi)) {
       // Range-for: judge the terminal identifier of the range expression.
-      // `x.f()` calls and `x[i]` subscripts yield unknowable types — skipped
-      // here, caught by the AST engine.
+      // `x.f()` calls and `x[i]` subscripts yield unknowable types and are
+      // skipped.
       if (close < 1) return;
       const Token& last = tokens[close - 1];
       if (last.kind != Token::Kind::ident || close - 1 <= colon) return;

@@ -8,10 +8,9 @@
 ///
 /// The top-level CMakeLists exports compile_commands.json on every configure
 /// (CMAKE_EXPORT_COMPILE_COMMANDS ON), so mighty-lint, clang-tidy and
-/// editors all share one database.  The portable engine only needs the
-/// "file" entries (the AST engine additionally hands the database to
-/// LibTooling for flags); this is a purpose-built extractor, not a JSON
-/// library — it understands exactly the array-of-objects shape CMake emits.
+/// editors all share one database.  mighty-lint only needs the "file"
+/// entries; this is a purpose-built extractor, not a JSON library — it
+/// understands exactly the array-of-objects shape CMake emits.
 
 namespace mighty::lint {
 

@@ -10,9 +10,9 @@
 /// \file diagnostics.hpp
 /// \brief Shared diagnostic engine: suppression matching, ordering, output.
 ///
-/// Every engine (portable token engine, LibTooling AST engine) funnels its
-/// findings through one DiagnosticEngine, so the suppression syntax, the
-/// output format and the exit-code policy are engine-independent.
+/// Every check funnels its findings through one DiagnosticEngine, so the
+/// suppression syntax, the output format and the exit-code policy are the
+/// same for all of them.
 ///
 /// Suppression syntax (the reason is mandatory — see docs/linting.md):
 ///

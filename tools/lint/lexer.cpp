@@ -95,8 +95,8 @@ private:
 
   /// Skips a whole logical preprocessor line (backslash continuations
   /// included), after extracting any quoted #include target.  Macro bodies
-  /// are deliberately invisible to the checks; the AST engine sees through
-  /// them, the portable engine documents the limitation.
+  /// are deliberately invisible to the checks (a documented limitation of
+  /// token-level matching).
   void preprocessor_line() {
     std::string text;
     while (pos_ < s_.size()) {

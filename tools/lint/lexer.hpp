@@ -4,11 +4,10 @@
 #include <vector>
 
 /// \file lexer.hpp
-/// \brief Minimal C++ token scanner for the portable lint engine.
+/// \brief Minimal C++ token scanner for mighty-lint.
 ///
-/// mighty-lint's always-available engine works on a token stream, not an AST:
-/// it must build with nothing but a C++20 compiler (the LibTooling engine in
-/// ast_engine.cpp is an opt-in upgrade, see docs/linting.md).  The scanner
+/// mighty-lint works on a token stream, not an AST: it must build with
+/// nothing but a C++20 compiler (see docs/linting.md).  The scanner
 /// understands exactly as much C++ lexing as the checks need to be reliable:
 /// comments (collected separately — the suppression syntax lives in them),
 /// string/char literals including raw strings (so "std::mutex" inside a

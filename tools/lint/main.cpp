@@ -19,22 +19,10 @@
 /// atomically, that wire enums are frozen, or that all locking goes through
 /// util::Mutex.  mighty-lint states those contracts once as checks and
 /// gates them in CI and ctest.  See docs/linting.md for the check catalog,
-/// the suppression syntax, and how to add a check.
-///
-/// Engines: the portable token engine below always builds (plain C++20);
-/// configuring with -DMIGHTY_LINT_WITH_CLANG=ON swaps in the LibTooling AST
-/// engine (ast_engine.cpp) for type-accurate matching on systems with LLVM/
-/// Clang development headers.
+/// the suppression syntax, and how to add a check.  The checks run on a
+/// token stream (lexer.hpp), so the linter builds with plain C++20.
 
 namespace mighty::lint {
-
-#if defined(MIGHTY_LINT_HAVE_CLANG)
-/// ast_engine.cpp — runs the AST checks over `files` using the compilation
-/// database at `build_dir`; reports through `engine`.  Returns false on a
-/// frontend failure (which is itself a finding: the tree must parse).
-bool run_ast_engine(const std::string& build_dir,
-                    const std::vector<FileUnit>& units, DiagnosticEngine& engine);
-#endif
 
 namespace {
 
@@ -46,7 +34,6 @@ struct Options {
   std::string as_vpath;             ///< --as: virtual path for a single input
   std::vector<std::string> paths;   ///< files or directories to lint
   std::set<std::string> only;       ///< --check filters
-  std::string engine = "auto";      ///< auto | lex | ast
   bool list_checks = false;
   bool quiet = false;
 };
@@ -60,12 +47,11 @@ constexpr const char* kUsage =
     "fuzz/ under --root.  Exit status: 0 clean, 1 findings, 2 usage error.\n"
     "\n"
     "  --root <dir>    project root for path scoping (default: .)\n"
-    "  -p <build-dir>  read <build-dir>/compile_commands.json for the file\n"
-    "                  list (and compiler flags, AST engine)\n"
+    "  -p <build-dir>  also lint the project files listed in\n"
+    "                  <build-dir>/compile_commands.json\n"
     "  --as <vpath>    treat a single input file as this project-relative\n"
     "                  path (fixture testing)\n"
     "  --check <name>  run only this check (repeatable)\n"
-    "  --engine <e>    auto|lex|ast (ast needs -DMIGHTY_LINT_WITH_CLANG=ON)\n"
     "  --list-checks   print the check catalog and exit\n"
     "  --quiet         suppress the summary line\n"
     "\n"
@@ -207,25 +193,10 @@ int run(const Options& options) {
   DiagnosticEngine engine(known);
   for (const FileUnit& unit : units) engine.register_file(unit);
 
-  bool used_ast = false;
-#if defined(MIGHTY_LINT_HAVE_CLANG)
-  if (options.engine == "ast" || (options.engine == "auto" && !options.build_dir.empty())) {
-    used_ast = run_ast_engine(options.build_dir, units, engine);
-  }
-#else
-  if (options.engine == "ast") {
-    std::fprintf(stderr,
-                 "mighty-lint: built without the Clang AST engine "
-                 "(reconfigure with -DMIGHTY_LINT_WITH_CLANG=ON)\n");
-    return 2;
-  }
-#endif
-  if (!used_ast) {
-    for (const auto& check : checks) {
-      if (!options.only.empty() && options.only.count(check->name()) == 0) continue;
-      check->scan_all(units);
-      for (const FileUnit& unit : units) check->run(unit, engine);
-    }
+  for (const auto& check : checks) {
+    if (!options.only.empty() && options.only.count(check->name()) == 0) continue;
+    check->scan_all(units);
+    for (const FileUnit& unit : units) check->run(unit, engine);
   }
   // A stale allow is only provably stale when every check had its chance.
   if (options.only.empty()) engine.flag_unused_allows();
@@ -258,7 +229,6 @@ int main(int argc, char** argv) {
     else if (arg == "-p") options.build_dir = value();
     else if (arg == "--as") options.as_vpath = value();
     else if (arg == "--check") options.only.insert(value());
-    else if (arg == "--engine") options.engine = value();
     else if (arg == "--list-checks") options.list_checks = true;
     else if (arg == "--quiet") options.quiet = true;
     else if (arg == "--help" || arg == "-h") {
@@ -271,10 +241,6 @@ int main(int argc, char** argv) {
     } else {
       options.paths.push_back(arg);
     }
-  }
-  if (options.engine != "auto" && options.engine != "lex" && options.engine != "ast") {
-    std::fprintf(stderr, "mighty-lint: --engine must be auto, lex or ast\n");
-    return 2;
   }
   try {
     return mighty::lint::run(options);
