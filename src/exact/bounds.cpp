@@ -1,5 +1,7 @@
 #include "exact/bounds.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace mighty::exact {
@@ -34,6 +36,19 @@ uint32_t shannon_size(const Database& db, const tt::TruthTable& f) {
   const auto leaves = m.create_pis(f.num_vars());
   m.create_po(build_shannon(db, f, m, leaves));
   return m.count_live_gates();
+}
+
+uint32_t cofactor_lower_bound(const Database& db, const tt::TruthTable& f) {
+  MIGHTY_ASSERT(f.num_vars() <= 5);
+  uint32_t bound = 0;
+  std::vector<uint32_t> old_vars;
+  for (uint32_t var = 0; var < f.num_vars(); ++var) {
+    for (const bool value : {false, true}) {
+      const auto g = f.cofactor(var, value).shrink_to_support(old_vars).extend(4);
+      bound = std::max(bound, db.lookup(g).entry->chain.size());
+    }
+  }
+  return bound;
 }
 
 }  // namespace mighty::exact

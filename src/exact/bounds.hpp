@@ -7,7 +7,9 @@
 #include "tt/truth_table.hpp"
 
 /// \file bounds.hpp
-/// \brief The size upper bound of Theorem 2 and its constructive witness.
+/// \brief Size bounds: the upper bound of Theorem 2 with its constructive
+/// witness, and a lower bound for exact synthesis read off the NPN-4
+/// database.
 ///
 /// Theorem 2 (paper Sec. V-B): for n >= 4,
 ///     C<>(n) <= 10 * (2^(n-4) - 1) + 7.
@@ -33,5 +35,15 @@ mig::Signal build_shannon(const Database& db, const tt::TruthTable& f, mig::Mig&
 /// Convenience: builds a fresh single-output MIG for f and returns its live
 /// gate count.
 uint32_t shannon_size(const Database& db, const tt::TruthTable& f);
+
+/// A lower bound on the minimum MIG size of f (up to 5 variables): the
+/// largest database size among the cofactors f|x_i=c.  Putting a constant
+/// on an input of a k-gate MIG for f leaves an MIG of at most k gates for
+/// the cofactor, and the database holds the exact minimum of every function
+/// of at most 4 variables, so the bound is sound.  For f of support at most 4 it is f's own database size
+/// (cofactoring a variable outside the support leaves f).  Ten lookups;
+/// exact 5-input synthesis starts its size loop at the larger of this and
+/// the support bound.
+uint32_t cofactor_lower_bound(const Database& db, const tt::TruthTable& f);
 
 }  // namespace mighty::exact

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exact/bounds.hpp"
 #include "exact/exact_synthesis.hpp"
 #include "opt/rewrite.hpp"
 #include "util/atomic_file.hpp"
@@ -65,7 +66,18 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   // stripes proceed unhindered.
   util::MutexLock lock(stripe.mutex);
   const auto it = stripe.map.find(key);
-  uint32_t first = kSupportBound;
+  if (it != stripe.map.end() && it->second.chain && it->second.chain->size() <= max_size) {
+    bump(cache5_hits_, tally, &OracleTally::cache5_hits);
+    return &*it->second.chain;
+  }
+  // Every other query returns nothing or runs a search; only these pay for
+  // the cofactor bound.  Like the support bound, a bound above the query's
+  // limit answers it without touching the cache or any counter, whatever
+  // the cache holds, so the counters do not depend on which query for a
+  // function happens to run first.
+  const uint32_t bound = exact::cofactor_lower_bound(db_, f5);
+  if (bound > last) return nullptr;
+  uint32_t first = std::max(kSupportBound, bound);
   bool resumed = false;
   if (it != stripe.map.end()) {
     const CacheEntry& cached = it->second;
@@ -79,9 +91,8 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
                            budget_rank(cached.budget);
     if (!retry) {
       bump(cache5_hits_, tally, &OracleTally::cache5_hits);
-      if (cached.chain) return cached.chain->size() <= max_size ? &*cached.chain : nullptr;
       if (!cached.open() || cached.lower > last) return nullptr;
-      first = cached.lower;
+      first = std::max(first, cached.lower);
       resumed = true;
     }
   }

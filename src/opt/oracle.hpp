@@ -33,10 +33,12 @@
 ///    where no chain could win.  A search stopped by such a bound is cached
 ///    as *open* ("no chain below L gates") and resumed at L by a later query
 ///    with a larger bound, so every (function, gate count) decision problem
-///    is solved at most once.  Failures (timeouts, or no chain within
-///    max_gates) are cached as "no replacement" together with the budget
-///    that produced them, and are re-attempted when queried under a strictly
-///    larger conflict budget.
+///    is solved at most once.  Every search starts at the function's
+///    cofactor lower bound (`exact::cofactor_lower_bound`, read off the
+///    NPN-4 database), skipping gate counts that cannot succeed.  Failures
+///    (timeouts, or no chain within max_gates) are cached as "no
+///    replacement" together with the budget that produced them, and are
+///    re-attempted when queried under a strictly larger conflict budget.
 ///
 /// The 5-input cache persists to disk (save_cache / load_cache): a versioned
 /// text file alongside the NPN-4 database, one line per function — hex truth
@@ -106,10 +108,12 @@ public:
   /// within the budgets.  `max_size` is the largest structure the caller
   /// can use: 4-input lookups are instant and answer regardless, while a
   /// 5-input query runs only the decision problems up to it and returns
-  /// std::nullopt when the minimum is larger — one whose bound is below the
-  /// support bound (two gates for five inputs) returns without touching the
-  /// cache.  Thread-safe.  When `tally` is given, the call's counter
-  /// increments are mirrored into it.
+  /// std::nullopt when the minimum is larger.  One whose bound is below the
+  /// support bound (two gates for five inputs) or the function's cofactor
+  /// lower bound returns without changing the cache, unless a cached chain
+  /// fits it: it is neither a hit nor a synthesis, whether it runs before or
+  /// after the query that fills the cache.  Thread-safe.  When `tally` is
+  /// given, the call's counter increments are mirrored into it.
   std::optional<Info> query(const tt::TruthTable& f, OracleTally* tally = nullptr,
                             uint32_t max_size = kUnbounded);
 

@@ -1,6 +1,8 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
+#include <cstring>
+
 #include "util/assert.hpp"
 
 namespace mighty::sat {
@@ -9,7 +11,8 @@ Solver::Solver() = default;
 
 Var Solver::new_var() {
   const Var v = num_vars();
-  assigns_.push_back(0);
+  vals_.push_back(0);
+  vals_.push_back(0);
   saved_phase_.push_back(-1);
   level_.push_back(0);
   reason_.push_back(kNoReason);
@@ -27,53 +30,77 @@ void Solver::boost_activity(Var v, double amount) {
   if (heap_contains(v)) heap_up(heap_index_[static_cast<size_t>(v)]);
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+double Solver::clause_activity(ClauseRef c) const {
+  double activity;
+  std::memcpy(&activity, &arena_[c + kHeaderWords + clause_size(c)], sizeof activity);
+  return activity;
+}
+
+void Solver::set_clause_activity(ClauseRef c, double activity) {
+  std::memcpy(&arena_[c + kHeaderWords + clause_size(c)], &activity, sizeof activity);
+}
+
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt, uint32_t lbd) {
+  const auto cref = static_cast<ClauseRef>(arena_.size());
+  MIGHTY_ASSERT(cref < (1u << 31));  // Watcher::cref has 31 bits
+  arena_.push_back(static_cast<uint32_t>(lits.size()) << 1 | (learnt ? 1u : 0u));
+  arena_.push_back(lbd);
+  for (const Lit l : lits) arena_.push_back(static_cast<uint32_t>(l));
+  if (learnt) {
+    arena_.resize(arena_.size() + kActivityWords);
+    set_clause_activity(cref, 0.0);
+  }
+  return cref;
+}
+
+bool Solver::add_clause(std::span<const Lit> lits) {
   MIGHTY_ASSERT(decision_level() == 0);
   if (!ok_) return false;
 
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+  add_buffer_.assign(lits.begin(), lits.end());
+  std::sort(add_buffer_.begin(), add_buffer_.end());
+  size_t keep = 0;
   Lit prev = -2;
-  for (const Lit l : lits) {
+  for (const Lit l : add_buffer_) {
     MIGHTY_ASSERT(var_of(l) < num_vars());
     if (l == prev) continue;                  // duplicate literal
     if (l == negate(prev)) return true;       // tautology
     if (value_lit(l) == 1) return true;       // satisfied at top level
     if (value_lit(l) == -1) continue;         // falsified at top level
-    out.push_back(l);
+    add_buffer_[keep++] = l;
     prev = l;
   }
 
-  if (out.empty()) {
+  if (keep == 0) {
     ok_ = false;
     return false;
   }
   ++num_problem_clauses_;
-  if (out.size() == 1) {
-    enqueue(out[0], kNoReason);
+  if (keep == 1) {
+    enqueue(add_buffer_[0], kNoReason);
     if (propagate() != kNoReason) {
       ok_ = false;
       return false;
     }
     return true;
   }
-  const auto cref = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out), 0.0, 0, false, false});
-  attach_clause(cref);
+  attach_clause(alloc_clause(std::span<const Lit>(add_buffer_.data(), keep), false, 0));
   return true;
 }
 
 void Solver::attach_clause(ClauseRef cref) {
-  const Clause& c = clauses_[static_cast<size_t>(cref)];
-  MIGHTY_ASSERT(c.lits.size() >= 2);
-  watches_[static_cast<size_t>(c.lits[0])].push_back({cref, c.lits[1]});
-  watches_[static_cast<size_t>(c.lits[1])].push_back({cref, c.lits[0]});
+  const Lit* c = clause_lits(cref);
+  const uint32_t binary = clause_size(cref) == 2 ? 1 : 0;
+  MIGHTY_ASSERT(clause_size(cref) >= 2);
+  watches_[static_cast<size_t>(c[0])].push_back({cref, binary, c[1]});
+  watches_[static_cast<size_t>(c[1])].push_back({cref, binary, c[0]});
 }
 
 void Solver::enqueue(Lit l, ClauseRef reason) {
   const Var v = var_of(l);
   MIGHTY_ASSERT(value_var(v) == 0);
-  assigns_[static_cast<size_t>(v)] = is_negated(l) ? int8_t{-1} : int8_t{1};
+  vals_[static_cast<size_t>(l)] = 1;
+  vals_[static_cast<size_t>(negate(l))] = -1;
   level_[static_cast<size_t>(v)] = decision_level();
   reason_[static_cast<size_t>(v)] = reason;
   trail_.push_back(l);
@@ -83,54 +110,66 @@ Solver::ClauseRef Solver::propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
     ++stats_.propagations;
-    auto& ws = watches_[static_cast<size_t>(negate(p))];
-    size_t i = 0;
-    size_t j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
-      if (value_lit(w.blocker) == 1) {
-        ws[j++] = ws[i++];
+    const Lit false_lit = negate(p);
+    auto& ws = watches_[static_cast<size_t>(false_lit)];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i++;
+      const int8_t blocker_value = value_lit(w.blocker);
+      if (blocker_value == 1) {
+        *j++ = w;
         continue;
       }
-      Clause& c = clauses_[static_cast<size_t>(w.cref)];
-      if (c.removed) {
-        ++i;  // drop the stale watcher
-        continue;
+      if (w.binary) {
+        // The blocker is the clause's other literal: unit or conflicting.
+        *j++ = w;
+        if (blocker_value == 0) {
+          enqueue(w.blocker, w.cref);
+          continue;
+        }
+        // Conflict analysis reads a conflicting clause in literal order;
+        // leave it as the long-clause path below would: [other, false_lit].
+        Lit* c = clause_lits(w.cref);
+        c[0] = w.blocker;
+        c[1] = false_lit;
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<size_t>(j - ws.data()));
+        propagate_head_ = trail_.size();
+        return w.cref;
       }
-      const Lit false_lit = negate(p);
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      MIGHTY_ASSERT(c.lits[1] == false_lit);
-      const Lit first = c.lits[0];
+      Lit* c = clause_lits(w.cref);
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
+      MIGHTY_ASSERT(c[1] == false_lit);
+      const Lit first = c[0];
+      const Watcher kept{w.cref, 0, first};
       if (first != w.blocker && value_lit(first) == 1) {
-        ws[j++] = {w.cref, first};
-        ++i;
+        *j++ = kept;
         continue;
       }
       bool found_watch = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (value_lit(c.lits[k]) != -1) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<size_t>(c.lits[1])].push_back({w.cref, first});
+      const uint32_t size = clause_size(w.cref);
+      for (uint32_t k = 2; k < size; ++k) {
+        if (value_lit(c[k]) != -1) {
+          std::swap(c[1], c[k]);
+          watches_[static_cast<size_t>(c[1])].push_back(kept);
           found_watch = true;
           break;
         }
       }
-      if (found_watch) {
-        ++i;
-        continue;
-      }
+      if (found_watch) continue;
       // Clause is unit under the current assignment, or conflicting.
-      ws[j++] = {w.cref, first};
-      ++i;
+      *j++ = kept;
       if (value_lit(first) == -1) {
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<size_t>(j - ws.data()));
         propagate_head_ = trail_.size();
         return w.cref;
       }
       enqueue(first, w.cref);
     }
-    ws.resize(j);
+    ws.resize(static_cast<size_t>(j - ws.data()));
   }
   return kNoReason;
 }
@@ -142,23 +181,31 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt, int& out_
   out_learnt.push_back(0);  // reserved for the asserting literal
   size_t index = trail_.size();
 
+  auto visit = [&](Lit q) {
+    const Var v = var_of(q);
+    if (!seen_[static_cast<size_t>(v)] && level_[static_cast<size_t>(v)] > 0) {
+      seen_[static_cast<size_t>(v)] = 1;
+      bump_var(v);
+      if (level_[static_cast<size_t>(v)] >= decision_level()) {
+        ++path_count;
+      } else {
+        out_learnt.push_back(q);
+      }
+    }
+  };
+
   ClauseRef confl = conflict;
   do {
     MIGHTY_ASSERT(confl != kNoReason);
-    Clause& c = clauses_[static_cast<size_t>(confl)];
-    if (c.learnt) bump_clause(c);
-    for (size_t k = (p == -1 ? 0 : 1); k < c.lits.size(); ++k) {
-      const Lit q = c.lits[k];
-      const Var v = var_of(q);
-      if (!seen_[static_cast<size_t>(v)] && level_[static_cast<size_t>(v)] > 0) {
-        seen_[static_cast<size_t>(v)] = 1;
-        bump_var(v);
-        if (level_[static_cast<size_t>(v)] >= decision_level()) {
-          ++path_count;
-        } else {
-          out_learnt.push_back(q);
-        }
-      }
+    if (clause_learnt(confl)) bump_clause(confl);
+    const Lit* c = clause_lits(confl);
+    const uint32_t size = clause_size(confl);
+    if (p == -1) {
+      for (uint32_t k = 0; k < size; ++k) visit(c[k]);
+    } else if (size == 2) {
+      visit(c[0] == p ? c[1] : c[0]);  // a binary reason is not reordered
+    } else {
+      for (uint32_t k = 1; k < size; ++k) visit(c[k]);  // c[0] == p
     }
     while (!seen_[static_cast<size_t>(var_of(trail_[--index]))]) {
     }
@@ -213,9 +260,17 @@ bool Solver::literal_redundant(Lit l, uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     const ClauseRef r = reason_[static_cast<size_t>(var_of(q))];
     MIGHTY_ASSERT(r != kNoReason);
-    const Clause& c = clauses_[static_cast<size_t>(r)];
-    for (size_t k = 1; k < c.lits.size(); ++k) {
-      const Lit p = c.lits[k];
+    // Skip the literal the reason implies, !q: c[0] of a long clause, either
+    // slot of a binary one.
+    const Lit* c = clause_lits(r);
+    const Lit* begin = c + 1;
+    const Lit* end = c + clause_size(r);
+    if (clause_size(r) == 2 && c[1] == negate(q)) {
+      begin = c;
+      end = c + 1;
+    }
+    for (const Lit* it = begin; it != end; ++it) {
+      const Lit p = *it;
       const Var v = var_of(p);
       if (seen_[static_cast<size_t>(v)] || level_[static_cast<size_t>(v)] == 0) continue;
       if (reason_[static_cast<size_t>(v)] == kNoReason ||
@@ -239,9 +294,11 @@ void Solver::backtrack(int target_level) {
   if (decision_level() <= target_level) return;
   const int bound = trail_lim_[static_cast<size_t>(target_level)];
   for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
-    const Var v = var_of(trail_[static_cast<size_t>(i)]);
-    saved_phase_[static_cast<size_t>(v)] = assigns_[static_cast<size_t>(v)];
-    assigns_[static_cast<size_t>(v)] = 0;
+    const Lit l = trail_[static_cast<size_t>(i)];
+    const Var v = var_of(l);
+    saved_phase_[static_cast<size_t>(v)] = value_var(v);
+    vals_[static_cast<size_t>(l)] = 0;
+    vals_[static_cast<size_t>(negate(l))] = 0;
     reason_[static_cast<size_t>(v)] = kNoReason;
     if (!heap_contains(v)) heap_insert(v);
   }
@@ -261,12 +318,20 @@ Lit Solver::pick_branch_literal() {
   return -1;
 }
 
-int Solver::compute_lbd(const std::vector<Lit>& lits) {
-  std::vector<int> levels;
-  levels.reserve(lits.size());
-  for (const Lit l : lits) levels.push_back(level_[static_cast<size_t>(var_of(l))]);
-  std::sort(levels.begin(), levels.end());
-  return static_cast<int>(std::unique(levels.begin(), levels.end()) - levels.begin());
+int Solver::compute_lbd(std::span<const Lit> lits) {
+  ++lbd_stamp_;
+  int distinct = 0;
+  for (const Lit l : lits) {
+    // Assumption levels may outnumber the variables: grow on demand.
+    const auto level = static_cast<size_t>(level_[static_cast<size_t>(var_of(l))]);
+    if (level >= level_stamp_.size()) level_stamp_.resize(level + 1, 0);
+    auto& stamp = level_stamp_[level];
+    if (stamp != lbd_stamp_) {
+      stamp = lbd_stamp_;
+      ++distinct;
+    }
+  }
+  return distinct;
 }
 
 void Solver::bump_var(Var v) {
@@ -280,11 +345,12 @@ void Solver::rescale_var_activity() {
   var_inc_ *= 1e-100;
 }
 
-void Solver::bump_clause(Clause& c) {
-  c.activity += cla_inc_;
-  if (c.activity > 1e20) {
-    for (auto& cl : clauses_) {
-      if (cl.learnt) cl.activity *= 1e-20;
+void Solver::bump_clause(ClauseRef c) {
+  const double activity = clause_activity(c) + cla_inc_;
+  set_clause_activity(c, activity);
+  if (activity > 1e20) {
+    for (ClauseRef r = 0; r < arena_.size(); r = next_clause(r)) {
+      if (clause_learnt(r)) set_clause_activity(r, clause_activity(r) * 1e-20);
     }
     cla_inc_ *= 1e-20;
   }
@@ -292,57 +358,73 @@ void Solver::bump_clause(Clause& c) {
 
 void Solver::reduce_db() {
   MIGHTY_ASSERT(decision_level() == 0);
+  ++stats_.reductions;
   // Collect learnt, non-locked clauses and drop the worse half by (lbd, act).
   std::vector<ClauseRef> learnts;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    Clause& c = clauses_[i];
-    if (c.removed || !c.learnt) continue;
-    const bool locked = !c.lits.empty() && value_lit(c.lits[0]) == 1 &&
-                        reason_[static_cast<size_t>(var_of(c.lits[0]))] ==
-                            static_cast<ClauseRef>(i);
-    if (locked || c.lits.size() <= 2 || c.lbd <= 2) continue;
-    learnts.push_back(static_cast<ClauseRef>(i));
+  const auto end = static_cast<ClauseRef>(arena_.size());
+  for (ClauseRef c = 0; c < end; c = next_clause(c)) {
+    if (!clause_learnt(c)) continue;
+    const Lit first = clause_lits(c)[0];
+    const bool locked =
+        value_lit(first) == 1 && reason_[static_cast<size_t>(var_of(first))] == c;
+    if (locked || clause_size(c) <= 2 || clause_lbd(c) <= 2) continue;
+    learnts.push_back(c);
   }
   std::sort(learnts.begin(), learnts.end(), [&](ClauseRef a, ClauseRef b) {
-    const Clause& ca = clauses_[static_cast<size_t>(a)];
-    const Clause& cb = clauses_[static_cast<size_t>(b)];
-    if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
-    return ca.activity < cb.activity;
+    if (clause_lbd(a) != clause_lbd(b)) return clause_lbd(a) > clause_lbd(b);
+    return clause_activity(a) < clause_activity(b);
   });
-  for (size_t i = 0; i < learnts.size() / 2; ++i) {
-    clauses_[static_cast<size_t>(learnts[i])].removed = true;
-    ++stats_.removed_clauses;
-  }
+  learnts.resize(learnts.size() / 2);
+  stats_.removed_clauses += learnts.size();
+  std::sort(learnts.begin(), learnts.end());  // creation order, for the sweep
 
-  // Rebuild the watch lists over the surviving clauses; also simplify each
-  // clause against the top-level assignment.
+  // Every clause that is a reason at level 0 is satisfied there and dropped
+  // below; level-0 reasons are never read again, so forget them.
+  for (const Lit l : trail_) reason_[static_cast<size_t>(var_of(l))] = kNoReason;
+
+  // Compact the arena in creation order, simplifying each clause against the
+  // top-level assignment and rebuilding the watch lists over the survivors.
   for (auto& ws : watches_) ws.clear();
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    Clause& c = clauses_[i];
-    if (c.removed) continue;
+  auto removed = learnts.begin();
+  ClauseRef to = 0;
+  for (ClauseRef from = 0; from < end;) {
+    const ClauseRef next = next_clause(from);
+    if (removed != learnts.end() && *removed == from) {
+      ++removed;
+      from = next;
+      continue;
+    }
+    const bool learnt = clause_learnt(from);
+    const uint32_t lbd = clause_lbd(from);
+    const double activity = learnt ? clause_activity(from) : 0.0;
+    const Lit* src = clause_lits(from);
+    Lit* dst = clause_lits(to);  // to <= from: an in-place forward copy
+    const uint32_t size = clause_size(from);
     bool satisfied = false;
-    size_t keep = 0;
-    for (const Lit l : c.lits) {
+    uint32_t keep = 0;
+    for (uint32_t k = 0; k < size; ++k) {
+      const Lit l = src[k];
       if (value_lit(l) == 1 && level_[static_cast<size_t>(var_of(l))] == 0) {
         satisfied = true;
         break;
       }
       if (value_lit(l) == -1 && level_[static_cast<size_t>(var_of(l))] == 0) continue;
-      c.lits[keep++] = l;
+      dst[keep++] = l;
     }
-    if (satisfied) {
-      c.removed = true;
+    from = next;
+    if (satisfied) continue;
+    MIGHTY_ASSERT(keep > 0);
+    if (keep == 1) {
+      if (value_lit(dst[0]) == 0) enqueue(dst[0], kNoReason);
       continue;
     }
-    c.lits.resize(keep);
-    MIGHTY_ASSERT(!c.lits.empty());
-    if (c.lits.size() == 1) {
-      if (value_lit(c.lits[0]) == 0) enqueue(c.lits[0], kNoReason);
-      c.removed = true;
-      continue;
-    }
-    attach_clause(static_cast<ClauseRef>(i));
+    arena_[to] = keep << 1 | (learnt ? 1u : 0u);
+    arena_[to + 1] = lbd;
+    if (learnt) set_clause_activity(to, activity);
+    attach_clause(to);
+    to = next_clause(to);
   }
+  arena_.resize(to);
 }
 
 uint64_t Solver::luby(uint64_t i) {
@@ -391,14 +473,10 @@ Result Solver::solve(const std::vector<Lit>& assumptions, int64_t conflict_limit
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNoReason);
       } else {
-        const auto cref = static_cast<ClauseRef>(clauses_.size());
-        Clause c;
-        c.lits = learnt;
-        c.learnt = true;
-        c.lbd = compute_lbd(learnt);
-        clauses_.push_back(std::move(c));
+        const ClauseRef cref =
+            alloc_clause(learnt, true, static_cast<uint32_t>(compute_lbd(learnt)));
         attach_clause(cref);
-        bump_clause(clauses_[static_cast<size_t>(cref)]);
+        bump_clause(cref);
         enqueue(learnt[0], cref);
         ++stats_.learnt_clauses;
       }
@@ -440,7 +518,8 @@ Result Solver::solve(const std::vector<Lit>& assumptions, int64_t conflict_limit
     const Lit next = pick_branch_literal();
     if (next == -1) {
       // All variables assigned: a model has been found.
-      model_.assign(assigns_.begin(), assigns_.end());
+      model_.resize(static_cast<size_t>(num_vars()));
+      for (Var v = 0; v < num_vars(); ++v) model_[static_cast<size_t>(v)] = value_var(v);
       backtrack(0);
       return Result::sat;
     }

@@ -6,6 +6,7 @@
 
 #include "exact/bounds.hpp"
 #include "mig/simulation.hpp"
+#include "test_util.hpp"
 
 namespace mighty::exact {
 namespace {
@@ -131,6 +132,34 @@ TEST(BoundsTest, FourVariableBaseCase) {
     worst = std::max(worst, shannon_size(db(), f));
   }
   EXPECT_LE(worst, 7u);
+}
+
+TEST(BoundsTest, CofactorBoundIsAtMostTheOptimum) {
+  // Minimum sizes from exact synthesis; fee8e880 is maj5, 80000000 the
+  // 5-input AND.
+  const struct {
+    const char* function;
+    uint32_t optimum;
+  } known[] = {{"fee8e880", 4}, {"0000ffe0", 4}, {"80000000", 4},
+               {"96696996", 6}, {"1ee1e11e", 7}, {"6996c33c", 7}};
+  for (const auto& k : known) {
+    const auto f = tt::TruthTable::from_hex(5, k.function);
+    EXPECT_LE(cofactor_lower_bound(db(), f), k.optimum) << k.function;
+  }
+  // Random small networks: the bound never exceeds a network's live size.
+  for (uint32_t seed = 0; seed < 300; ++seed) {
+    const auto m = testutil::random_mig(5, 1 + seed % 7, 1, seed);
+    const auto f = mig::output_truth_tables(m)[0];
+    EXPECT_LE(cofactor_lower_bound(db(), f), m.count_live_gates()) << f.to_hex();
+  }
+}
+
+TEST(BoundsTest, CofactorBoundOfSmallSupportIsItsDatabaseSize) {
+  for (uint32_t bits = 0; bits < (1u << 16); ++bits) {
+    const tt::TruthTable f(4, bits);
+    const uint32_t size = db().lookup(f).entry->chain.size();
+    ASSERT_EQ(cofactor_lower_bound(db(), f.extend(5)), size) << f.to_hex();
+  }
 }
 
 }  // namespace

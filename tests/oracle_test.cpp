@@ -4,11 +4,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <random>
 #include <sstream>
 #include <vector>
 
 #include "cec/cec.hpp"
+#include "exact/bounds.hpp"
 #include "gen/arith.hpp"
 #include "io/io.hpp"
 #include "mig/algebra/algebra.hpp"
@@ -433,8 +435,12 @@ OracleParams five_input_params() {
   return params;
 }
 
+/// A function whose cofactor bound (3) is below its minimum (4 gates), so a
+/// query bounded at 3 runs a decision problem and leaves an open entry.
+tt::TruthTable bound_below_minimum_table() { return tt::TruthTable::from_hex(5, "0000ffe0"); }
+
 TEST(OracleBoundTest, BoundBelowMinimumLeavesOpenEntryThatLaterBoundsResume) {
-  const auto f = maj5_table();  // minimum: 4 gates
+  const auto f = bound_below_minimum_table();  // minimum: 4 gates
   ReplacementOracle cold(db(), five_input_params());
   const auto expected = cold.query(f);
   ASSERT_TRUE(expected.has_value());
@@ -492,19 +498,78 @@ TEST(OracleBoundTest, BoundBelowSupportBoundCreatesNoEntry) {
   EXPECT_TRUE(oracle.query(tt::TruthTable(4, 0x6996), nullptr, 0).has_value());
 }
 
+TEST(OracleBoundTest, QueryBelowCofactorBoundCreatesNoEntry) {
+  // maj5's cofactors are the 2-of-4 and 3-of-4 thresholds, 4 gates each:
+  // the bound is maj5's minimum, and every query bounded below it is
+  // answered by the bound alone.
+  const auto f = maj5_table();
+  ASSERT_EQ(exact::cofactor_lower_bound(db(), f), 4u);
+  ReplacementOracle oracle(db(), five_input_params());
+  OracleTally tally;
+  for (const uint32_t bound : {2u, 3u}) {
+    EXPECT_FALSE(oracle.query(f, &tally, bound).has_value());
+  }
+  EXPECT_EQ(oracle.queries(), 2u);
+  EXPECT_EQ(oracle.cache_stats().entries, 0u);
+  EXPECT_EQ(oracle.synthesized_count(), 0u);
+  EXPECT_EQ(oracle.cache5_hits(), 0u);
+  EXPECT_EQ(oracle.synthesis_failures(), 0u);
+  EXPECT_EQ(oracle.sat_conflicts(), 0u);
+  EXPECT_EQ(tally.synthesized.load(), 0u);
+  EXPECT_EQ(tally.conflicts.load(), 0u);
+  // At the bound the query synthesizes as usual.
+  const auto info = oracle.query(f, &tally, 4);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, 4u);
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+}
+
+TEST(OracleBoundTest, QueryBelowCofactorBoundCountsNothingWhateverTheCacheHolds) {
+  // A query below the bound counts nothing whether it runs before or after
+  // the query that fills the cache, so the counters of a threaded run do not
+  // depend on the order its queries happen to take.
+  struct Counters {
+    size_t entries, open;
+    uint64_t synthesized, hits, failures, conflicts;
+    bool operator==(const Counters&) const = default;
+  };
+  const auto run = [](const tt::TruthTable& f, std::initializer_list<uint32_t> bounds) {
+    ReplacementOracle oracle(db(), five_input_params());
+    for (const uint32_t bound : bounds) oracle.query(f, nullptr, bound);
+    const auto stats = oracle.cache_stats();
+    return Counters{stats.entries,         stats.open,
+                    oracle.synthesized_count(), oracle.cache5_hits(),
+                    oracle.synthesis_failures(), oracle.sat_conflicts()};
+  };
+  // maj5 (bound 4): a cached 4-gate chain against a query bounded at 3.
+  const auto maj5 = maj5_table();
+  const auto chain_first = run(maj5, {6, 3});
+  EXPECT_EQ(chain_first, run(maj5, {3, 6}));
+  EXPECT_EQ(chain_first.synthesized, 1u);
+  EXPECT_EQ(chain_first.hits, 0u);
+  // 0000ffe0 (bound 3): an open entry "no chain below 4" against a query
+  // bounded at 2.
+  const auto f = bound_below_minimum_table();
+  const auto open_first = run(f, {3, 2});
+  EXPECT_EQ(open_first, run(f, {2, 3}));
+  EXPECT_EQ(open_first.open, 1u);
+  EXPECT_EQ(open_first.synthesized, 1u);
+  EXPECT_EQ(open_first.hits, 0u);
+}
+
 TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
   ScratchDir scratch("mighty_oracle_open");
   const auto path = (scratch.dir / "c5.db").string();
-  const auto f = maj5_table();
+  const auto f = bound_below_minimum_table();
   {
     ReplacementOracle oracle(db(), five_input_params());
-    EXPECT_FALSE(oracle.query(f, nullptr, 2).has_value());
+    EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
     ASSERT_EQ(oracle.save_cache(path), 1u);
   }
   const std::string text = file_text(path);
   EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v2 1\n", 0), 0u) << text;
   EXPECT_NE(text.find(f.to_hex() + " open 20000 "), std::string::npos) << text;
-  EXPECT_EQ(text.substr(text.size() - 3), " 3\n") << text;  // lower bound
+  EXPECT_EQ(text.substr(text.size() - 3), " 4\n") << text;  // lower bound
 
   ReplacementOracle oracle(db(), five_input_params());
   ASSERT_EQ(oracle.load_cache(path).status, ReplacementOracle::CacheLoadStatus::loaded);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -249,7 +250,8 @@ TEST(ServeTest, ProtocolEdgeCasesKeepOrCloseTheConnectionCorrectly) {
 }
 
 TEST(ServeTest, ShutdownFrameIsSingleUse) {
-  bool requested = false;
+  // Written by the server's connection thread, read by the test thread.
+  std::atomic<bool> requested{false};
   api::LocalService service;
   ServerParams params;
   params.socket_path = unique_socket_path("shutdown");
@@ -264,7 +266,7 @@ TEST(ServeTest, ShutdownFrameIsSingleUse) {
   first.send_frame(Tag::shutdown, {});
   EXPECT_EQ(first.recv_frame().tag, static_cast<uint8_t>(Tag::shutdown_ok));
   EXPECT_TRUE(first.at_eof());
-  EXPECT_TRUE(requested);
+  EXPECT_TRUE(requested.load());
 
   // The second SHUTDOWN — and any other request — is refused.
   second.send_frame(Tag::shutdown, {});
