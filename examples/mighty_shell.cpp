@@ -30,6 +30,7 @@
 #include "flow/flow.hpp"
 #include "gen/arith.hpp"
 #include "io/io.hpp"
+#include "mig/cuts.hpp"
 #include "mig/mig.hpp"
 #include "serve/client.hpp"
 #include "util/atomic_file.hpp"
@@ -86,8 +87,7 @@ struct Shell {
     }
     fputs(result.report.summary().c_str(), stdout);
     if (adopt) {
-      std::istringstream blif(result.network_blif);
-      current = io::read_blif(blif);
+      current = io::read_blif(result.network_blif);
     }
     return true;
   }
@@ -131,7 +131,7 @@ void Shell::command(const std::string& line) {
         "  cache load <path>     merge a persistent 5-input oracle cache\n"
         "  cache save [path]     persist the oracle cache (also on exit)\n"
         "  cache stats           show oracle cache size and dirty entries\n"
-        "  map [k]               k-LUT mapping (default 6)\n"
+        "  map [k]               k-LUT mapping, k = 3..6 (default 6)\n"
         "  cec                   SAT equivalence vs. the originally loaded network\n"
         "  snapshot              make the current network the cec reference\n"
         "  quit\n");
@@ -405,8 +405,8 @@ void Shell::command(const std::string& line) {
     uint32_t lut_size = 6;
     is >> lut_size;
     if (!is) lut_size = 6;
-    if (lut_size < 2 || lut_size > 16) {
-      printf("LUT size must be between 2 and 16\n");
+    if (lut_size < 3 || lut_size > cuts::Cut::max_size) {
+      printf("LUT size must be between 3 and %u\n", cuts::Cut::max_size);
       return;
     }
     run_job("map" + std::to_string(lut_size), /*adopt=*/false);

@@ -83,16 +83,14 @@ int main(int argc, char** argv) {
   printf("  mapping    : %6u LUT6, depth %3u\n\n", base_map->num_luts,
          base_map->lut_depth);
 
-  std::istringstream base_blif(base.network_blif);
-  const auto baseline = io::read_blif(base_blif);
+  const auto baseline = io::read_blif(base.network_blif);
 
   printf("%-6s | %8s %5s %7s | %8s %5s | %s\n", "variant", "gates", "depth", "time",
          "LUT6", "depth", "equivalent");
   for (const auto& variant : opt::all_variants()) {
     const auto result =
         run_or_die(service, variant, variant + "; map", base.network_blif);
-    std::istringstream blif(result.network_blif);
-    const auto optimized = io::read_blif(blif);
+    const auto optimized = io::read_blif(result.network_blif);
     const auto* mapped = result.report.last_mapping();
     const bool equal = cec::random_simulation_equal(baseline, optimized, 16, 7);
     printf("%-6s | %8u %5u %6.2fs | %8u %5u | %s\n", variant.c_str(),

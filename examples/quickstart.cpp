@@ -71,8 +71,7 @@ int main() {
              result.report.size_before);
 
   // 4. Prove the rewrite preserved the function.
-  std::istringstream optimized_blif(result.network_blif);
-  const auto optimized = io::read_blif(optimized_blif);
+  const auto optimized = io::read_blif(result.network_blif);
   const auto cec = cec::check_equivalence(m, optimized);
   printf("equivalence : %s\n",
          cec.status == cec::CecStatus::equivalent ? "proven by SAT" : "FAILED");

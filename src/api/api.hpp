@@ -155,6 +155,10 @@ class Service {
 /// ("parallel:n", "cache:p") are allowed; with more workers such scripts
 /// are rejected at submit (invalid_request) because they would reconfigure
 /// the engine under concurrent jobs.
+///
+/// Every job stays stored, with its result, for the service's lifetime; a
+/// job's input BLIF is released as soon as the job has parsed it, so only
+/// results accumulate.
 class LocalService final : public Service {
  public:
   struct Params {

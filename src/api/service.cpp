@@ -5,6 +5,7 @@
 #include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flow/control.hpp"
@@ -213,8 +214,9 @@ struct LocalService::Impl {
   void run_job(Job& job) {
     JobResult res;
     try {
-      std::istringstream blif(job.request.network_blif);
-      const mig::Mig input = io::read_blif(blif);
+      // Parsed in place and released with this statement: the text is never
+      // read again, but the job stays stored for the service's lifetime.
+      const mig::Mig input = io::read_blif(std::exchange(job.request.network_blif, {}));
       if (job.pipeline.uses_oracle() && session_.oracle_if_created() == nullptr) {
         // Lazy oracle/database init is single-threaded by design; take the
         // session exclusively for the first materialization.

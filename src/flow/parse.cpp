@@ -4,6 +4,7 @@
 
 #include "api/error.hpp"
 #include "flow/pipeline.hpp"
+#include "mig/cuts.hpp"
 #include "util/thread_pool.hpp"
 
 /// Recursive-descent parser for the flow-script grammar (see pipeline.hpp):
@@ -171,7 +172,7 @@ private:
       if (pos_ < script_.size() &&
           std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
         params.lut_size = integer();
-        if (params.lut_size < 2 || params.lut_size > 16) {
+        if (params.lut_size < 3 || params.lut_size > cuts::Cut::max_size) {
           fail_at(int_start_, "LUT size out of range in 'map" +
                                   std::to_string(params.lut_size) + "'");
         }

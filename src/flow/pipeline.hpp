@@ -37,7 +37,7 @@
 ///   word     := T|TD|TF|TFD|B|BD|BF|BFD     -- functional-hashing variants
 ///             | variant '5'                 -- 5-input-cut extension (TF5, ...)
 ///             | size | depth                -- algebraic optimization
-///             | map[k]                      -- k-LUT mapping, default k=6
+///             | map[k]                      -- k-LUT mapping, k=3..6, default 6
 ///             | parallel:n                  -- run later passes on n threads
 ///             | cache:path                  -- persistent 5-input oracle cache
 ///             | check                       -- full invariant validation

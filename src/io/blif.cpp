@@ -1,8 +1,11 @@
+#include <deque>
 #include <fstream>
-#include <map>
-#include <set>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "api/error.hpp"
 #include "io/io.hpp"
@@ -24,7 +27,7 @@ std::string node_name(const mig::Mig& mig, uint32_t index) {
 
 /// Builds an arbitrary function of up to 6 leaves by Shannon decomposition.
 mig::Signal build_function(mig::Mig& m, const tt::TruthTable& f,
-                           const std::vector<mig::Signal>& leaves) {
+                           std::span<const mig::Signal> leaves) {
   if (f.is_const0()) return m.get_constant(false);
   if (f.is_const1()) return m.get_constant(true);
   for (uint32_t v = 0; v < f.num_vars(); ++v) {
@@ -118,18 +121,37 @@ void write_blif_file(const std::string& path, const mig::Mig& mig,
   }
 }
 
-mig::Mig read_blif(std::istream& is) {
-  struct Table {
-    std::vector<std::string> inputs;
-    std::string output;
-    std::vector<std::string> rows;
-    size_t line = 0;  ///< physical line of the .names directive (for errors)
-  };
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
-  size_t outputs_line = 0;
-  std::vector<Table> tables;
+namespace {
 
+/// Whitespace as operator>> skips it in the classic locale.
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Removes and returns the first token of `rest`; empty when none is left.
+std::string_view next_token(std::string_view& rest) {
+  size_t begin = 0;
+  while (begin < rest.size() && is_blank(rest[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest.size() && !is_blank(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+/// The tokens of `line` joined by single spaces (how errors quote a row).
+std::string joined_tokens(std::string_view line) {
+  std::string out;
+  for (auto token = next_token(line); !token.empty(); token = next_token(line)) {
+    if (!out.empty()) out += ' ';
+    out += token;
+  }
+  return out;
+}
+
+}  // namespace
+
+mig::Mig read_blif(std::string_view text) {
   auto error_at = [](size_t line, const std::string& what) {
     // Still a std::runtime_error for pre-taxonomy catch sites, now carrying
     // the stable code the api layer and wire protocol report.
@@ -137,144 +159,165 @@ mig::Mig read_blif(std::istream& is) {
                       "BLIF line " + std::to_string(line) + ": " + what);
   };
 
-  // Tokenize into logical lines: strip '\r' (CRLF exports), cut '#' comments,
+  // Split into logical lines: strip '\r' (CRLF exports), cut '#' comments,
   // and join backslash continuations (tolerating whitespace after the
   // backslash, which common exporters emit).  Each logical line remembers the
-  // physical line it started on, so parse errors point into the file.
+  // physical line it started on, so parse errors point into the file.  Lines
+  // are views into `text`; only joined continuations need their own storage.
   struct LogicalLine {
-    std::string text;
+    std::string_view text;
     size_t line;
   };
-  std::string line, pending;
-  size_t line_number = 0, pending_line = 0;
   std::vector<LogicalLine> logical_lines;
-  while (std::getline(is, line)) {
+  std::deque<std::string> joined;  // stable addresses for the views
+  std::string pending;  // non-empty exactly while a continuation is open
+  size_t line_number = 0, pending_line = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t eol = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++line_number;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (const auto hash = line.find('#'); hash != std::string_view::npos) {
+      line = line.substr(0, hash);
     }
     if (pending.empty()) pending_line = line_number;
     const auto last = line.find_last_not_of(" \t");
-    if (last != std::string::npos && line[last] == '\\') {
+    if (last != std::string_view::npos && line[last] == '\\') {
       pending += line.substr(0, last);
       pending += ' ';  // the continuation joins tokens, it must not fuse them
       continue;
     }
-    pending += line;
-    if (pending.find_first_not_of(" \t") != std::string::npos) {
-      logical_lines.push_back({std::move(pending), pending_line});
+    if (!pending.empty()) {
+      pending += line;
+      line = joined.emplace_back(std::move(pending));
+      pending.clear();
     }
-    pending.clear();
+    if (line.find_first_not_of(" \t") != std::string_view::npos) {
+      logical_lines.push_back({line, pending_line});
+    }
   }
   if (!pending.empty()) {
     throw error_at(pending_line, "backslash continuation at end of file");
   }
 
-  Table* current = nullptr;
+  // A table's input names and cover rows are contiguous runs of the shared
+  // pools: rows only ever extend the most recent table.
+  struct Table {
+    std::string_view output;
+    size_t first_input = 0;
+    size_t num_inputs = 0;
+    size_t first_row = 0;
+    size_t num_rows = 0;
+    size_t line = 0;  ///< physical line of the .names directive (for errors)
+    bool in_progress = false;  ///< on the resolution stack (cycle detection)
+  };
+  std::vector<std::string_view> input_names;
+  std::vector<std::string_view> output_names;
+  std::vector<std::string_view> table_inputs;
+  std::vector<std::string_view> rows;  ///< each a whole logical line
+  std::vector<Table> tables;
+  size_t outputs_line = 0;
+  bool in_table = false;
   for (const auto& logical : logical_lines) {
-    std::istringstream ls(logical.text);
-    std::string head;
-    if (!(ls >> head)) continue;
+    std::string_view rest = logical.text;
+    const std::string_view head = next_token(rest);
+    if (head.empty()) continue;
     if (head == ".model" || head == ".end") {
-      current = nullptr;
+      in_table = false;
       continue;
     }
-    if (head == ".inputs") {
-      std::string name;
-      while (ls >> name) input_names.push_back(name);
-      current = nullptr;
-      continue;
-    }
-    if (head == ".outputs") {
-      std::string name;
-      while (ls >> name) output_names.push_back(name);
-      outputs_line = logical.line;
-      current = nullptr;
+    if (head == ".inputs" || head == ".outputs") {
+      auto& names = head == ".inputs" ? input_names : output_names;
+      for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+        names.push_back(name);
+      }
+      if (head == ".outputs") outputs_line = logical.line;
+      in_table = false;
       continue;
     }
     if (head == ".names") {
       Table t;
+      t.first_input = table_inputs.size();
+      t.first_row = rows.size();
       t.line = logical.line;
-      std::string name;
-      std::vector<std::string> names;
-      while (ls >> name) names.push_back(name);
-      if (names.empty()) throw error_at(logical.line, ".names without signals");
-      t.output = names.back();
-      names.pop_back();
-      t.inputs = std::move(names);
-      tables.push_back(std::move(t));
-      current = &tables.back();
+      for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+        table_inputs.push_back(name);
+      }
+      if (table_inputs.size() == t.first_input) {
+        throw error_at(logical.line, ".names without signals");
+      }
+      t.output = table_inputs.back();
+      table_inputs.pop_back();
+      t.num_inputs = table_inputs.size() - t.first_input;
+      tables.push_back(t);
+      in_table = true;
       continue;
     }
     if (head[0] == '.') {
-      throw error_at(logical.line, "unsupported BLIF construct: " + head);
+      throw error_at(logical.line, "unsupported BLIF construct: " + std::string(head));
     }
-    if (current == nullptr) {
+    if (!in_table) {
       throw error_at(logical.line, "cover row outside .names");
     }
-    // Keep every token: extra columns must surface as a parse error below,
-    // not be silently dropped.
-    std::string rest;
-    std::string row = head;
-    while (ls >> rest) row += " " + rest;
-    current->rows.push_back(row);
+    // Keep the whole line: extra columns must surface as a parse error when
+    // the table is built, not be silently dropped.
+    rows.push_back(logical.text);
+    ++tables.back().num_rows;
   }
 
+  // Every name, mapped to its signal once resolved and to its driving table
+  // (the last one that names it as output).  Inputs win over tables.
+  constexpr size_t no_table = std::numeric_limits<size_t>::max();
+  struct Name {
+    mig::Signal signal;
+    bool resolved = false;
+    size_t table = no_table;
+  };
+  std::unordered_map<std::string_view, Name> names;
+  names.reserve(input_names.size() + tables.size());
   mig::Mig m;
-  std::map<std::string, mig::Signal> signals;
-  for (const auto& name : input_names) signals[name] = m.create_pi();
+  for (const auto name : input_names) {
+    Name& entry = names[name];
+    entry.signal = m.create_pi();
+    entry.resolved = true;
+  }
+  for (size_t i = 0; i < tables.size(); ++i) names[tables[i].output].table = i;
 
-  std::map<std::string, const Table*> by_output;
-  for (const auto& t : tables) by_output[t.output] = &t;
-
-  // Builds one table's function over already-resolved leaves.
-  auto build_table = [&](const Table& t,
-                         const std::vector<mig::Signal>& leaves) -> mig::Signal {
-    const std::string& name = t.output;
-    const auto k = static_cast<uint32_t>(t.inputs.size());
-    tt::TruthTable on_set(k);
+  // Builds one table's function over already-resolved leaves.  Rows are
+  // checked here, so a malformed row in a table no output reaches is not
+  // an error.
+  auto build_table = [&](const Table& t, std::span<const mig::Signal> leaves) {
+    const auto k = static_cast<uint32_t>(t.num_inputs);  // at most 4, checked at push
+    uint32_t on_set = 0;
     bool output_one = true;
-    for (const auto& row : t.rows) {
-      std::istringstream rs(row);
-      std::string pattern, value, extra;
-      if (k == 0) {
-        rs >> value;
-        pattern.clear();
-      } else if (!(rs >> pattern >> value)) {
-        throw error_at(t.line, "malformed cover row in table '" + name +
-                                   "': " + row);
-      }
-      if (rs >> extra) {
-        throw error_at(t.line, "trailing tokens in cover row of table '" + name +
-                                   "': " + row);
-      }
-      if (pattern.size() != k) {
-        throw error_at(t.line, "cover row width mismatch in table '" + name +
-                                   "': " + row);
-      }
+    for (size_t r = t.first_row; r < t.first_row + t.num_rows; ++r) {
+      auto row_error = [&](const char* what) {
+        return error_at(t.line, std::string(what) + " '" + std::string(t.output) +
+                                    "': " + joined_tokens(rows[r]));
+      };
+      std::string_view rest = rows[r];
+      const std::string_view pattern = k == 0 ? std::string_view() : next_token(rest);
+      const std::string_view value = next_token(rest);
+      if (value.empty()) throw row_error("malformed cover row in table");
+      if (!next_token(rest).empty()) throw row_error("trailing tokens in cover row of table");
+      if (pattern.size() != k) throw row_error("cover row width mismatch in table");
       output_one = value == "1";
-      // Expand don't-cares.
-      std::vector<uint32_t> minterms{0};
+      // The row covers every minterm that agrees with its care literals;
+      // any character other than '0' and '1' is a don't-care.
+      uint32_t care = 0;
+      uint32_t ones = 0;
       for (uint32_t i = 0; i < k; ++i) {
-        std::vector<uint32_t> next;
-        for (const uint32_t base : minterms) {
-          if (pattern[i] == '0') {
-            next.push_back(base);
-          } else if (pattern[i] == '1') {
-            next.push_back(base | (1u << i));
-          } else {
-            next.push_back(base);
-            next.push_back(base | (1u << i));
-          }
-        }
-        minterms = std::move(next);
+        if (pattern[i] == '0' || pattern[i] == '1') care |= 1u << i;
+        if (pattern[i] == '1') ones |= 1u << i;
       }
-      for (const uint32_t mt : minterms) on_set.set_bit(mt, true);
+      for (uint32_t mt = 0; mt < (1u << k); ++mt) {
+        if ((mt & care) == ones) on_set |= 1u << mt;
+      }
     }
-    tt::TruthTable f = on_set;
-    if (!t.rows.empty() && !output_one) f = ~f;
-    if (t.rows.empty()) f = tt::TruthTable::constant(k, false);
+    tt::TruthTable f(k, on_set);
+    if (t.num_rows != 0 && !output_one) f = ~f;
+    if (t.num_rows == 0) f = tt::TruthTable::constant(k, false);
     return build_function(m, f, leaves);
   };
 
@@ -282,61 +325,71 @@ mig::Mig read_blif(std::istream& is) {
   // topological order, and call-stack recursion would overflow on deeply
   // chained tables — adversarial inputs nest thousands).  `referenced_at`
   // is the line mentioning the name, so "signal without driver" points at
-  // the use, not somewhere downstream.  A name reached again while its own
-  // table is still being resolved is a combinational cycle, which recursion
-  // would chase forever.
+  // the use, not somewhere downstream.  A table reached again while it is
+  // still being resolved closes a combinational cycle, which recursion
+  // would chase forever.  The resolved inputs of every open frame sit on
+  // one shared stack, the top frame's last.
   struct Frame {
-    std::string name;
-    const Table* table;
-    std::vector<mig::Signal> leaves;  ///< resolved inputs so far
+    Name* name;
+    Table* table;
+    size_t first_leaf;  ///< start of this frame's resolved inputs in `leaves`
   };
-  std::set<std::string> in_progress;
   std::vector<Frame> stack;
+  std::vector<mig::Signal> leaves;
 
   // Returns the signal when `name` is already resolved, otherwise pushes a
   // frame for its driving table and returns nullptr.
-  auto lookup_or_push = [&](const std::string& name,
+  auto lookup_or_push = [&](std::string_view name,
                             size_t referenced_at) -> const mig::Signal* {
-    if (const auto it = signals.find(name); it != signals.end()) return &it->second;
-    const auto t_it = by_output.find(name);
-    if (t_it == by_output.end()) {
-      throw error_at(referenced_at, "signal without driver: " + name);
+    const auto it = names.find(name);
+    if (it != names.end() && it->second.resolved) return &it->second.signal;
+    if (it == names.end() || it->second.table == no_table) {
+      throw error_at(referenced_at, "signal without driver: " + std::string(name));
     }
-    const Table& t = *t_it->second;
-    if (t.inputs.size() > 4) {
-      throw error_at(t.line, "table with more than 4 inputs: " + name);
+    Table& t = tables[it->second.table];
+    if (t.num_inputs > 4) {
+      throw error_at(t.line, "table with more than 4 inputs: " + std::string(name));
     }
-    if (!in_progress.insert(name).second) {
-      throw error_at(t.line, "combinational cycle through signal: " + name);
+    if (t.in_progress) {
+      throw error_at(t.line, "combinational cycle through signal: " + std::string(name));
     }
-    stack.push_back({name, &t, {}});
+    t.in_progress = true;
+    stack.push_back({&it->second, &t, leaves.size()});
     return nullptr;
   };
 
-  auto resolve = [&](const std::string& root, size_t referenced_at) -> mig::Signal {
+  auto resolve = [&](std::string_view root, size_t referenced_at) -> mig::Signal {
     if (const auto* s = lookup_or_push(root, referenced_at)) return *s;
     while (!stack.empty()) {
-      Frame& top = stack.back();
-      if (top.leaves.size() < top.table->inputs.size()) {
-        const std::string& next = top.table->inputs[top.leaves.size()];
+      const Frame top = stack.back();
+      const size_t done = leaves.size() - top.first_leaf;
+      if (done < top.table->num_inputs) {
+        const std::string_view next = table_inputs[top.table->first_input + done];
         // Either consumes an already-resolved leaf or pushes its table;
         // the loop revisits this frame after the new frame completes.
-        if (const auto* s = lookup_or_push(next, top.table->line)) {
-          top.leaves.push_back(*s);
-        }
+        if (const auto* s = lookup_or_push(next, top.table->line)) leaves.push_back(*s);
         continue;
       }
-      signals[top.name] = build_table(*top.table, top.leaves);
-      in_progress.erase(top.name);
+      top.name->signal = build_table(
+          *top.table, std::span<const mig::Signal>(leaves).subspan(top.first_leaf));
+      top.name->resolved = true;
+      top.table->in_progress = false;
+      leaves.resize(top.first_leaf);
       stack.pop_back();
     }
-    return signals.at(root);
+    return names.find(root)->second.signal;
   };
 
-  for (const auto& name : output_names) {
+  for (const auto name : output_names) {
     m.create_po(resolve(name, outputs_line));
   }
   return m;
+}
+
+mig::Mig read_blif(std::istream& is) {
+  std::ostringstream text;
+  text << is.rdbuf();
+  return read_blif(text.view());
 }
 
 mig::Mig read_blif_file(const std::string& path) {

@@ -2,6 +2,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mig/mig.hpp"
@@ -24,8 +25,11 @@ void write_blif_file(const std::string& path, const mig::Mig& mig,
 
 /// Parses a combinational BLIF model.  Accepts CRLF line endings and
 /// backslash line-continuations (as exported by common tools).  Throws
-/// std::runtime_error on unsupported constructs (latches, tables over 4
-/// inputs) and malformed input; messages carry the offending line number.
+/// api::Error (invalid_network, a std::runtime_error) on unsupported
+/// constructs (latches, tables over 4 inputs) and malformed input; messages
+/// carry the offending line number.
+mig::Mig read_blif(std::string_view text);
+/// Reads the whole stream, then parses it as read_blif(std::string_view).
 mig::Mig read_blif(std::istream& is);
 /// Like read_blif; error messages are prefixed with `path`.
 mig::Mig read_blif_file(const std::string& path);

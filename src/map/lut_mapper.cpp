@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 namespace mighty::map {
 
@@ -16,18 +19,44 @@ struct CutCost {
   double area_flow = 0.0;
 };
 
-struct NodeData {
-  std::vector<CutCost> cut_costs;
-  uint32_t best = 0;  ///< index of the representative cut
-  uint32_t arrival = 0;
-  double area_flow = 0.0;
-};
-
 }  // namespace
 
 MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
+  // A majority gate has three fanins, so a LUT narrower than three inputs
+  // covers none; wider ones would overrun Cut::leaves.
+  if (params.lut_size < 3 || params.lut_size > Cut::max_size) {
+    // Appended piecewise: an operator+ chain trips a GCC 12 -Wrestrict
+    // false positive here.
+    std::string what = "LUT size ";
+    what += std::to_string(params.lut_size);
+    what += " outside 3..";
+    what += std::to_string(Cut::max_size);
+    throw std::invalid_argument(what);
+  }
+  if (params.cut_limit == 0) {
+    throw std::invalid_argument("cut limit must be at least 1");
+  }
   const uint32_t n = mig.num_nodes();
-  std::vector<NodeData> data(n);
+  // Node v's cut set lives in slots [v * stride, v * stride + 1 + num_ranked[v]):
+  // slot 0 is what v contributes as a fanin by itself (its trivial cut; the
+  // empty cut for the constant node, whose paths are exempt), followed by
+  // v's ranked cuts for the current pass, best first.  Fanin sets are read
+  // in place from here.
+  const size_t stride = size_t{params.cut_limit} + 1;
+  std::vector<Cut> slots(n * stride);
+  std::vector<uint32_t> num_ranked(n, 0);
+  for (uint32_t v = 0; v < n; ++v) {
+    if (mig.is_constant(v)) continue;
+    Cut& trivial = slots[v * stride];
+    trivial.size = 1;
+    trivial.leaves[0] = v;
+    trivial.signature = Cut::hash_leaf(v);
+  }
+  auto best_cut = [&](uint32_t v) -> const Cut& { return slots[v * stride + 1]; };
+  std::vector<uint32_t> arrival(n, 0);
+  std::vector<double> area_flow(n, 0.0);
+  std::vector<CutCost> candidates;  // reused across nodes and passes
+
   const auto fanout = mig.compute_fanout_counts();
   auto refs = [&](uint32_t v) { return std::max<uint32_t>(1, fanout[v]); };
 
@@ -50,7 +79,7 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
     while (!stack.empty()) {
       const uint32_t v = stack.back();
       stack.pop_back();
-      const auto& cut = data[v].cut_costs[data[v].best].cut;
+      const Cut& cut = best_cut(v);
       std::vector<uint32_t> leaves;
       for (uint8_t i = 0; i < cut.size; ++i) {
         const uint32_t leaf = cut.leaves[i];
@@ -91,30 +120,14 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
     const bool area_mode = pass > 0;
 
     for (uint32_t v = 0; v < n; ++v) {
-      if (!mig.is_gate(v)) {
-        data[v].arrival = 0;
-        data[v].area_flow = 0.0;
-        continue;
-      }
-      auto& nd = data[v];
-      nd.cut_costs.clear();
+      if (!mig.is_gate(v)) continue;
+      candidates.clear();
 
-      // Merge fanin cut sets (each fanin contributes its kept cuts plus its
-      // trivial cut).
+      // Merge fanin cut sets (each fanin contributes its trivial cut plus
+      // its ranked cuts).
       auto fanin_cuts = [&](mig::Signal s) {
-        std::vector<Cut> list;
-        const uint32_t f = s.index();
-        if (mig.is_constant(f)) {
-          list.push_back(Cut{});  // empty cut: constant inputs are free
-          return list;
-        }
-        Cut trivial;
-        trivial.size = 1;
-        trivial.leaves[0] = f;
-        trivial.signature = Cut::hash_leaf(f);
-        list.push_back(trivial);
-        for (const auto& cc : data[f].cut_costs) list.push_back(cc.cut);
-        return list;
+        const Cut* first = &slots[s.index() * stride];
+        return std::span<const Cut>(first, 1 + num_ranked[s.index()]);
       };
       const auto& f = mig.fanins(v);
       const auto set0 = fanin_cuts(f[0]);
@@ -124,16 +137,16 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
       auto evaluate = [&](const Cut& cut) {
         CutCost cc;
         cc.cut = cut;
-        uint32_t arrival = 0;
+        uint32_t max_arrival = 0;
         double flow = 1.0;
         for (uint8_t i = 0; i < cut.size; ++i) {
           const uint32_t leaf = cut.leaves[i];
-          arrival = std::max(arrival, mig.is_gate(leaf) ? data[leaf].arrival + 1 : 1);
+          max_arrival = std::max(max_arrival, mig.is_gate(leaf) ? arrival[leaf] + 1 : 1);
           if (mig.is_gate(leaf)) {
-            flow += data[leaf].area_flow / refs(leaf);
+            flow += area_flow[leaf] / refs(leaf);
           }
         }
-        cc.arrival = arrival;
+        cc.arrival = max_arrival;
         cc.area_flow = flow;
         return cc;
       };
@@ -145,14 +158,11 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
           if (!cuts::merge_cuts(c0, c1, params.lut_size, ab)) continue;
           for (const Cut& c2 : set2) {
             if (!cuts::merge_cuts(ab, c2, params.lut_size, abc)) continue;
-            bool duplicate = false;
-            for (const auto& existing : nd.cut_costs) {
-              if (existing.cut == abc) {
-                duplicate = true;
-                break;
-              }
-            }
-            if (!duplicate) nd.cut_costs.push_back(evaluate(abc));
+            const bool duplicate =
+                std::any_of(candidates.begin(), candidates.end(), [&](const CutCost& c) {
+                  return c.cut.signature == abc.signature && c.cut == abc;
+                });
+            if (!duplicate) candidates.push_back(evaluate(abc));
           }
         }
       }
@@ -167,7 +177,7 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
               ? std::numeric_limits<uint32_t>::max()
               : (required[v] == std::numeric_limits<uint32_t>::max() ? prev_arrival[v]
                                                                      : required[v]);
-      std::sort(nd.cut_costs.begin(), nd.cut_costs.end(),
+      std::sort(candidates.begin(), candidates.end(),
                 [&](const CutCost& a, const CutCost& b) {
                   if (area_mode) {
                     const bool a_ok = a.arrival <= req;
@@ -179,21 +189,20 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
                   if (a.arrival != b.arrival) return a.arrival < b.arrival;
                   return a.area_flow < b.area_flow;
                 });
-      if (nd.cut_costs.size() > params.cut_limit) {
-        nd.cut_costs.resize(params.cut_limit);
+      num_ranked[v] =
+          static_cast<uint32_t>(std::min<size_t>(candidates.size(), params.cut_limit));
+      for (uint32_t i = 0; i < num_ranked[v]; ++i) {
+        slots[v * stride + 1 + i] = candidates[i].cut;
       }
-      nd.best = 0;
-      nd.arrival = nd.cut_costs.front().arrival;
-      nd.area_flow = nd.cut_costs.front().area_flow;
+      arrival[v] = candidates.front().arrival;
+      area_flow[v] = candidates.front().area_flow;
     }
 
     // Compute the mapping depth and required times for the next pass.
-    for (uint32_t v = 0; v < n; ++v) {
-      prev_arrival[v] = data[v].arrival;
-    }
+    prev_arrival = arrival;
     target_depth = 0;
     for (const mig::Signal o : mig.outputs()) {
-      if (mig.is_gate(o.index())) target_depth = std::max(target_depth, data[o.index()].arrival);
+      if (mig.is_gate(o.index())) target_depth = std::max(target_depth, arrival[o.index()]);
     }
     required.assign(n, std::numeric_limits<uint32_t>::max());
     for (const mig::Signal o : mig.outputs()) {
@@ -201,7 +210,7 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
     }
     for (uint32_t v = n; v-- > 0;) {
       if (!mig.is_gate(v) || required[v] == std::numeric_limits<uint32_t>::max()) continue;
-      const auto& cut = data[v].cut_costs[data[v].best].cut;
+      const Cut& cut = best_cut(v);
       for (uint8_t i = 0; i < cut.size; ++i) {
         const uint32_t leaf = cut.leaves[i];
         if (!mig.is_gate(leaf)) continue;

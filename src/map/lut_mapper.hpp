@@ -19,8 +19,9 @@
 namespace mighty::map {
 
 struct MapParams {
+  /// LUT inputs, 3..cuts::Cut::max_size.
   uint32_t lut_size = 6;
-  /// Priority cuts kept per node.
+  /// Priority cuts kept per node, at least 1.
   uint32_t cut_limit = 8;
   /// Area-recovery passes after the delay-optimal pass.
   uint32_t area_rounds = 2;
@@ -33,6 +34,7 @@ struct MappingResult {
   std::vector<std::pair<uint32_t, std::vector<uint32_t>>> cover;
 };
 
+/// Throws std::invalid_argument when `params` is outside the ranges above.
 MappingResult map_luts(const mig::Mig& mig, const MapParams& params = {});
 
 }  // namespace mighty::map

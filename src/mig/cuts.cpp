@@ -1,6 +1,8 @@
 #include "mig/cuts.hpp"
 
 #include <algorithm>
+#include <bit>
+
 #include "util/assert.hpp"
 
 namespace mighty::cuts {
@@ -17,8 +19,13 @@ bool Cut::subset_of(const Cut& other) const {
 }
 
 bool merge_cuts(const Cut& a, const Cut& b, uint32_t k, Cut& out) {
+  // Each leaf sets one signature bit, so the union has at least as many
+  // leaves as the merged signature has bits: more than k bits is an
+  // overflow without looking at the leaves.
+  const uint64_t signature = a.signature | b.signature;
+  if (static_cast<uint32_t>(std::popcount(signature)) > k) return false;
   out.size = 0;
-  out.signature = a.signature | b.signature;
+  out.signature = signature;
   uint8_t i = 0;
   uint8_t j = 0;
   while (i < a.size || j < b.size) {

@@ -45,7 +45,8 @@ struct Cut {
   static uint64_t hash_leaf(uint32_t leaf) { return uint64_t{1} << (leaf % 64); }
 };
 
-/// Merges two sorted cuts; returns false if the union exceeds `k` leaves.
+/// Merges two sorted cuts; returns false if the union exceeds `k` leaves
+/// (then `out` is unspecified).  Requires k <= Cut::max_size.
 bool merge_cuts(const Cut& a, const Cut& b, uint32_t k, Cut& out);
 
 struct CutEnumerationParams {

@@ -62,8 +62,7 @@ TEST(ApiTest, SubmitAndResultRoundTrip) {
   EXPECT_LE(result.report.size_after, result.report.size_before);
 
   // The artifact parses back to a network with the same interface.
-  std::istringstream blif(result.network_blif);
-  const auto optimized = io::read_blif(blif);
+  const auto optimized = io::read_blif(result.network_blif);
   EXPECT_EQ(optimized.num_pis(), m.num_pis());
   EXPECT_EQ(optimized.num_pos(), m.num_pos());
 }
@@ -89,6 +88,18 @@ TEST(ApiTest, InvalidScriptThrowsSynchronously) {
     FAIL() << "submit accepted a bogus script";
   } catch (const CodedError& e) {
     EXPECT_EQ(e.code(), ErrorCode::invalid_script);
+  }
+}
+
+TEST(ApiTest, OutOfRangeLutSizeIsAnInvalidScript) {
+  LocalService service;
+  for (const char* script : {"map2", "map7", "TF;map16"}) {
+    try {
+      service.submit(request_for(gen::make_adder_n(4), script));
+      FAIL() << "submit accepted " << script;
+    } catch (const ScriptError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_script) << script;
+    }
   }
 }
 

@@ -71,7 +71,7 @@ TEST(FlowParseTest, EmptyItemsAreSkipped) {
 
 TEST(FlowParseTest, RoundTripsThroughToString) {
   for (const auto* script :
-       {"TF", "TF;BFD", "(TF;size)*;map", "B*4;depth;map8", "TFD;(BD;size)*2"}) {
+       {"TF", "TF;BFD", "(TF;size)*;map", "B*4;depth;map4", "TFD;(BD;size)*2"}) {
     const auto once = Pipeline::parse(script).to_string();
     EXPECT_EQ(Pipeline::parse(once).to_string(), once) << script;
   }
@@ -87,6 +87,8 @@ TEST(FlowParseTest, RejectsMalformedScripts) {
   EXPECT_THROW(Pipeline::parse("()"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("*3"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("map1"), std::invalid_argument);
+  EXPECT_THROW(Pipeline::parse("map2"), std::invalid_argument);  // below a gate's 3 fanins
+  EXPECT_THROW(Pipeline::parse("map7"), std::invalid_argument);  // above Cut::max_size
   EXPECT_THROW(Pipeline::parse("7"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("TF*<0"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("TF*<"), std::invalid_argument);
@@ -163,13 +165,13 @@ TEST(FlowParseTest, ToScriptRoundTripsEveryProduction) {
            "TF", "T", "TD", "TFD", "B", "BD", "BF", "BFD",  // variants
            "TF5", "BFD5",                                   // 5-cut extensions
            "size", "depth",                                 // algebraic
-           "map", "map4", "map16",                          // mapping
+           "map", "map3", "map4",                           // mapping
            "parallel:1", "parallel:8",                      // session directives
            "cache:/tmp/c5.db", "cache:rel/Mixed.Case",      //
            "TF*3", "TF*", "TF*<2",                          // modifiers
            "(TF;size)*", "(BFD;size)*2", "(BF;size)*<4",    // groups
            "((T;B)*2;size)*3", "(TF;(BFD;size)*<3)*",       // nesting
-           "parallel:2;cache:/tmp/x;TF5;(BFD;size)*<3;map8;depth*2",
+           "parallel:2;cache:/tmp/x;TF5;(BFD;size)*<3;map5;depth*2",
        }) {
     const Pipeline first = Pipeline::parse(script);
     const std::string canonical = first.to_script();

@@ -8,8 +8,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/error.hpp"
 #include "cec/cec.hpp"
 #include "gen/arith.hpp"
+#include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
 
@@ -137,6 +139,39 @@ TEST(BlifTest, ErrorsCarryLineNumbers) {
             "(no error)");
 }
 
+TEST(BlifTest, EveryRejectionCarriesCodeAndLine) {
+  struct Case {
+    const char* text;
+    const char* expected;  ///< "BLIF line N: " plus the start of the reason
+  };
+  const Case cases[] = {
+      {".model x\n.inputs a\n.outputs q\n.names\n.end\n",
+       "BLIF line 4: .names without signals"},
+      {".model x\n.inputs a b\n.outputs q\n.names a b q\n11 1 1\n.end\n",
+       "BLIF line 4: trailing tokens in cover row of table 'q': 11 1 1"},
+      {".model x\n.inputs a b\n.outputs q\n.names a b q\n111 1\n.end\n",
+       "BLIF line 4: cover row width mismatch in table 'q': 111 1"},
+      {".model x\n.inputs a b c d e\n.outputs q\n.names a b c d e q\n11111 1\n.end\n",
+       "BLIF line 4: table with more than 4 inputs: q"},
+      {".model x\n.inputs a\n.outputs q\n.names a p q\n11 1\n.names q p\n1 1\n.end\n",
+       "BLIF line 4: combinational cycle through signal: q"},  // the table re-entered
+      {".model x\n.inputs a\n.outputs q\n11 1\n.names a q\n1 1\n.end\n",
+       "BLIF line 4: cover row outside .names"},
+      {".model x\n.inputs a\n.outputs q\n.names a q\n1 1\n.end \\\n",
+       "BLIF line 6: backslash continuation at end of file"},
+  };
+  for (const auto& c : cases) {
+    try {
+      read_blif(std::string_view(c.text));
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const api::Error& e) {
+      EXPECT_EQ(e.code(), api::ErrorCode::invalid_network) << c.text;
+      EXPECT_EQ(std::string(e.what()).rfind(c.expected, 0), 0u)
+          << "got: " << e.what() << "\nwant: " << c.expected;
+    }
+  }
+}
+
 TEST(BlifTest, FileErrorsNameTheFile) {
   // Unique per process: concurrent suite runs (Debug + TSan trees on one
   // machine) must not race on a shared fixture file.
@@ -201,6 +236,36 @@ TEST(BlifTest, FileRoundTrip) {
   write_blif_file(path, m);
   const auto back = read_blif_file(path);
   EXPECT_EQ(cec::check_equivalence(m, back).status, cec::CecStatus::equivalent);
+}
+
+// write_blif -> read_blif on the benchmark's starting points (generator
+// output, depth-optimized): any change in resolution order or table
+// decomposition moves the node count or the re-written bytes.
+TEST(BlifPinTest, RoundTripMatchesRecordedValues) {
+  struct Pin {
+    const char* name;
+    mig::Mig (*make)(uint32_t);
+    uint32_t width;
+    uint32_t num_nodes;
+    uint64_t blif_hash;
+  };
+  const Pin pins[] = {
+      {"adder", gen::make_adder_n, 8, 113, 10244378767897534332ull},
+      {"multiplier", gen::make_multiplier_n, 4, 136, 436364781165268218ull},
+      {"max", gen::make_max_n, 8, 498, 8554786631790861108ull},
+      {"sine", gen::make_sine_n, 4, 223, 16813569376554190145ull},
+  };
+  for (const auto& pin : pins) {
+    std::stringstream ss;
+    write_blif(ss, algebra::depth_optimize(pin.make(pin.width)));
+    const auto back = read_blif(ss);
+    std::ostringstream again;
+    write_blif(again, back);
+    testutil::Fnv1a h;
+    h.add(again.str());
+    EXPECT_EQ(back.num_nodes(), pin.num_nodes) << pin.name << pin.width;
+    EXPECT_EQ(h.value, pin.blif_hash) << pin.name << pin.width;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gen/arith.hpp"
+#include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
 
@@ -116,6 +119,20 @@ TEST(MapTest, LutSizeFourWorks) {
   EXPECT_GE(r4.num_luts, r6.num_luts);  // smaller LUTs need at least as many
 }
 
+TEST(MapTest, RejectsParamsOutsideTheCutStore) {
+  const auto m = gen::make_adder_n(4);
+  MapParams params;
+  params.lut_size = cuts::Cut::max_size + 1;  // would overrun Cut::leaves
+  EXPECT_THROW(map_luts(m, params), std::invalid_argument);
+  params.lut_size = 2;  // a three-fanin gate has no 2-feasible cut
+  EXPECT_THROW(map_luts(m, params), std::invalid_argument);
+  params.lut_size = 6;
+  params.cut_limit = 0;
+  EXPECT_THROW(map_luts(m, params), std::invalid_argument);
+  params.cut_limit = 1;
+  EXPECT_GT(map_luts(m, params).num_luts, 0u);
+}
+
 TEST(MapTest, ConstantOutputNeedsNoLut) {
   mig::Mig m;
   m.create_pis(2);
@@ -123,6 +140,44 @@ TEST(MapTest, ConstantOutputNeedsNoLut) {
   const auto result = map_luts(m);
   EXPECT_EQ(result.num_luts, 0u);
   EXPECT_EQ(result.depth, 0u);
+}
+
+uint64_t cover_hash(const MappingResult& result) {
+  testutil::Fnv1a h;
+  for (const auto& [root, leaves] : result.cover) {
+    h.add(root);
+    h.add(static_cast<uint32_t>(leaves.size()));
+    for (const uint32_t leaf : leaves) h.add(leaf);
+  }
+  return h.value;
+}
+
+// Exact covers on the benchmark's starting points (generator output,
+// depth-optimized).  Any change to merge order, dedup or the ranking sort
+// moves the hash, and with it the covers the benchmark reports.
+TEST(MapPinTest, CoversMatchRecordedValues) {
+  struct Pin {
+    const char* name;
+    mig::Mig (*make)(uint32_t);
+    uint32_t width;
+    uint32_t num_luts;
+    uint32_t depth;
+    uint64_t cover_hash;
+  };
+  const Pin pins[] = {
+      {"adder", gen::make_adder_n, 8, 30, 3, 4703266880294012133ull},
+      {"multiplier", gen::make_multiplier_n, 4, 26, 4, 1360713514406363449ull},
+      {"max", gen::make_max_n, 8, 143, 7, 13737460930428779643ull},
+      {"sine", gen::make_sine_n, 4, 5, 1, 9834148797702377004ull},
+      {"multiplier", gen::make_multiplier_n, 8, 249, 8, 4873931720319707555ull},
+  };
+  for (const auto& pin : pins) {
+    const auto m = algebra::depth_optimize(pin.make(pin.width));
+    const auto result = map_luts(m);
+    EXPECT_EQ(result.num_luts, pin.num_luts) << pin.name << pin.width;
+    EXPECT_EQ(result.depth, pin.depth) << pin.name << pin.width;
+    EXPECT_EQ(cover_hash(result), pin.cover_hash) << pin.name << pin.width;
+  }
 }
 
 }  // namespace

@@ -186,7 +186,14 @@ TEST(ServeTest, StatusCancelAndErrorsOverTheWire) {
   } catch (const api::Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::invalid_script);
   }
-  // The connection survived both errors.
+  try {
+    request.script = "map7";  // wider than a cut holds
+    client.submit(request);
+    FAIL() << "out-of-range LUT size accepted";
+  } catch (const api::Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::invalid_script);
+  }
+  // The connection survived all three errors.
   EXPECT_EQ(client.stats().completed, 1u);
 
   // Cache management is the daemon's own business.

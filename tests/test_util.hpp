@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "mig/mig.hpp"
@@ -48,5 +49,24 @@ inline mig::Mig random_mig(uint32_t num_pis, uint32_t num_gates, uint32_t num_po
   }
   return m;
 }
+
+/// 64-bit FNV-1a: a stable fingerprint for pinning exact outputs.
+struct Fnv1a {
+  uint64_t value = 14695981039346656037ull;
+
+  void add(std::string_view bytes) {
+    for (const char c : bytes) {
+      value ^= static_cast<unsigned char>(c);
+      value *= 1099511628211ull;
+    }
+  }
+  /// Little-endian bytes of `word`.
+  void add(uint32_t word) {
+    for (uint32_t i = 0; i < 4; ++i) {
+      value ^= (word >> (8 * i)) & 0xffu;
+      value *= 1099511628211ull;
+    }
+  }
+};
 
 }  // namespace mighty::testutil
