@@ -95,9 +95,7 @@ void build_node_cuts(const mig::Mig& mig, const CutEnumerationParams& params,
       }
     }
   }
-  if (params.include_trivial) {
-    insert_cut(out, trivial_cut(n), /*max_cuts=*/0);
-  }
+  insert_cut(out, trivial_cut(n), /*max_cuts=*/0);
 }
 
 }  // namespace

@@ -51,11 +51,8 @@ bool merge_cuts(const Cut& a, const Cut& b, uint32_t k, Cut& out);
 
 struct CutEnumerationParams {
   uint32_t cut_size = 4;
-  /// Maximum cuts stored per node (0 = exhaustive).
+  /// Maximum cuts stored per node besides the trivial cut (0 = exhaustive).
   uint32_t max_cuts = 0;
-  /// Include the trivial cut {v} in each gate's set (needed when cut sets are
-  /// merged upward; the optimizer skips trivial cuts at replacement time).
-  bool include_trivial = true;
   /// Optional mask of nodes that must not appear as cut-internal nodes: when
   /// such a node feeds a gate, only its trivial cut propagates upward.  Used
   /// to confine cuts to fanout-free regions (paper Sec. IV-C).
@@ -63,7 +60,8 @@ struct CutEnumerationParams {
 };
 
 /// Per-node cut sets, indexed by node id.  The constant node has the single
-/// empty cut; PIs have their trivial cut.
+/// empty cut; PIs have their trivial cut.  Each gate's set also holds its
+/// trivial cut {v}, which merging upward needs and the optimizer skips.
 std::vector<std::vector<Cut>> enumerate_cuts(const mig::Mig& mig,
                                              const CutEnumerationParams& params = {});
 

@@ -14,16 +14,17 @@
 /// database minima over every (capped) combination of leaf candidates, and
 /// each output finally picks its best candidate.
 ///
-/// In FFR mode the DP decomposes by region: cuts are confined to fanout-free
-/// regions, and at every region root the candidate list is committed to its
-/// single best entry anyway (so downstream users share one implementation).
-/// A region's DP therefore needs only the committed (size, depth) of the
-/// regions feeding it — never their structure — which yields a wave schedule:
-/// regions of equal dependency level run concurrently, each building its
-/// candidates in a private network, and a deterministic sequential splice
-/// replays every region's committed implementation into the result in fixed
-/// topological order.  The outcome is bit-identical for every thread count.
-/// Global mode (no region confinement) keeps the sequential DP.
+/// Both modes run the same per-node step and differ only in scope.  Global
+/// mode runs it over every live gate into one network.  FFR mode confines
+/// cuts to fanout-free regions and commits the candidate list of every region
+/// root to its single best entry (so downstream users share one
+/// implementation).  A region's DP therefore needs only the committed (size,
+/// depth) of the regions feeding it — never their structure — which yields a
+/// wave schedule: regions of equal dependency level run concurrently, each
+/// building its candidates in a private network, and a deterministic
+/// sequential splice replays every region's committed implementation into
+/// the result in fixed topological order.  The outcome is bit-identical for
+/// every thread count.
 
 namespace mighty::opt {
 
@@ -58,10 +59,77 @@ void insert_candidate(std::vector<Candidate>& list, const Candidate& c,
   if (list.size() > max_candidates) list.resize(max_candidates);
 }
 
-struct RegionCounters {
-  uint64_t cuts_evaluated = 0;
-  uint64_t replacements = 0;
-};
+/// The per-node step of the DP, shared by both modes: a baseline candidate
+/// over the fanins' best candidates, then, for every cut with a known
+/// replacement, one candidate per (capped) combination of leaf candidates.
+/// `cand(n)` returns node n's candidate list; every fanin and leaf of `v`
+/// already has one.  New candidates are built into `net`.
+template <typename Lookup>
+void expand_node(const mig::Mig& mig, ReplacementOracle& oracle,
+                 const RewriteParams& params, const std::vector<cuts::Cut>& cut_set,
+                 uint32_t v, uint32_t level, mig::Mig& net, Lookup&& cand,
+                 RewriteCounters& counters) {
+  auto& list = cand(v);
+
+  // Baseline candidate: rebuild the node over its fanins' best candidates.
+  {
+    const auto& f = mig.fanins(v);
+    const Candidate& c0 = cand(f[0].index()).front();
+    const Candidate& c1 = cand(f[1].index()).front();
+    const Candidate& c2 = cand(f[2].index()).front();
+    Candidate base;
+    base.sig = net.create_maj(c0.sig ^ f[0].is_complemented(),
+                              c1.sig ^ f[1].is_complemented(),
+                              c2.sig ^ f[2].is_complemented());
+    base.size = 1 + c0.size + c1.size + c2.size;
+    base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
+    insert_candidate(list, base, params.max_candidates);
+  }
+
+  for (const auto& cut : cut_set) {
+    if (cut.size == 1 && cut.leaves[0] == v) continue;
+    const auto leaves = cut.leaf_vector();
+    ++counters.cuts_evaluated;
+    const auto f = mig::simulate_cut(mig, v, leaves);
+    const auto info = oracle.query(f, params.tally);
+    if (!info) continue;
+
+    // Iterate (capped) combinations of leaf candidates in mixed radix.
+    std::vector<uint32_t> radix(leaves.size());
+    uint64_t total = 1;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      radix[i] = static_cast<uint32_t>(cand(leaves[i]).size());
+      total *= radix[i];
+    }
+    total = std::min<uint64_t>(total, params.max_combinations);
+    for (uint64_t combo = 0; combo < total; ++combo) {
+      uint64_t rem = combo;
+      std::vector<const Candidate*> chosen(leaves.size());
+      std::vector<mig::Signal> leaf_signals(leaves.size());
+      uint32_t size = info->size;
+      for (size_t i = 0; i < leaves.size(); ++i) {
+        chosen[i] = &cand(leaves[i])[rem % radix[i]];
+        rem /= radix[i];
+        leaf_signals[i] = chosen[i]->sig;
+        size += chosen[i]->size;
+      }
+      // Depth estimate through the replacement's input-to-output paths.
+      uint32_t depth = 0;
+      for (size_t lv = 0; lv < leaves.size(); ++lv) {
+        if (info->input_depths[lv] < 0) continue;
+        depth = std::max(depth, chosen[lv]->depth +
+                                    static_cast<uint32_t>(info->input_depths[lv]));
+      }
+      if (params.depth_preserving && depth > level) continue;
+      Candidate c;
+      c.sig = oracle.instantiate(f, net, leaf_signals, params.tally);
+      c.size = size;
+      c.depth = depth;
+      insert_candidate(list, c, params.max_candidates);
+      ++counters.replacements;
+    }
+  }
+}
 
 /// One region's DP result: the committed implementation of its root as a
 /// private network over the region's inputs, ready to be spliced.
@@ -71,7 +139,7 @@ struct RegionOutcome {
   mig::Signal chosen;            ///< committed root implementation in `net`
   uint32_t size = 0;             ///< committed tree-size accounting
   uint32_t depth = 0;            ///< committed depth accounting
-  RegionCounters counters;
+  RewriteCounters counters;
 };
 
 /// Runs the candidate DP of one region.  Reads only the original network,
@@ -96,73 +164,15 @@ RegionOutcome process_region(const mig::Mig& mig, ReplacementOracle& oracle,
   cand.emplace(mig::Mig::constant_node,
                std::vector<Candidate>{{outcome.net.get_constant(false), 0, 0}});
 
+  const auto lookup = [&](uint32_t n) -> std::vector<Candidate>& { return cand.at(n); };
   for (const uint32_t v : members) {
-    auto& list = cand[v];
-
-    // Baseline candidate: rebuild the node over its fanins' best candidates.
-    {
-      const auto& f = mig.fanins(v);
-      const Candidate& c0 = cand.at(f[0].index()).front();
-      const Candidate& c1 = cand.at(f[1].index()).front();
-      const Candidate& c2 = cand.at(f[2].index()).front();
-      Candidate base;
-      base.sig = outcome.net.create_maj(c0.sig ^ f[0].is_complemented(),
-                                        c1.sig ^ f[1].is_complemented(),
-                                        c2.sig ^ f[2].is_complemented());
-      base.size = 1 + c0.size + c1.size + c2.size;
-      base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
-      insert_candidate(list, base, params.max_candidates);
-    }
-
-    for (const auto& cut : cut_sets[v]) {
-      if (cut.size == 1 && cut.leaves[0] == v) continue;
-      const auto leaves = cut.leaf_vector();
-      ++outcome.counters.cuts_evaluated;
-      const auto f = mig::simulate_cut(mig, v, leaves);
-      const auto info = oracle.query(f, params.tally);
-      if (!info) continue;
-
-      // Iterate (capped) combinations of leaf candidates in mixed radix.
-      std::vector<uint32_t> radix(leaves.size());
-      uint64_t total = 1;
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        radix[i] = static_cast<uint32_t>(cand.at(leaves[i]).size());
-        total *= radix[i];
-      }
-      total = std::min<uint64_t>(total, params.max_combinations);
-      for (uint64_t combo = 0; combo < total; ++combo) {
-        uint64_t rem = combo;
-        std::vector<const Candidate*> chosen(leaves.size());
-        std::vector<mig::Signal> leaf_signals(leaves.size());
-        uint32_t size = info->size;
-        for (size_t i = 0; i < leaves.size(); ++i) {
-          chosen[i] = &cand.at(leaves[i])[rem % radix[i]];
-          rem /= radix[i];
-          leaf_signals[i] = chosen[i]->sig;
-          size += chosen[i]->size;
-        }
-        // Depth estimate through the replacement's input-to-output paths.
-        uint32_t depth = 0;
-        for (size_t lv = 0; lv < leaves.size(); ++lv) {
-          if (info->input_depths[lv] < 0) continue;
-          depth = std::max(depth, chosen[lv]->depth +
-                                      static_cast<uint32_t>(info->input_depths[lv]));
-        }
-        if (params.depth_preserving && depth > levels[v] + params.depth_slack) {
-          continue;
-        }
-        Candidate c;
-        c.sig = oracle.instantiate(f, outcome.net, leaf_signals, params.tally);
-        c.size = size;
-        c.depth = depth;
-        insert_candidate(list, c, params.max_candidates);
-        ++outcome.counters.replacements;
-      }
-    }
+    cand.try_emplace(v);
+    expand_node(mig, oracle, params, cut_sets[v], v, levels[v], outcome.net, lookup,
+                outcome.counters);
   }
 
-  // Commit the root to its single best implementation (what the sequential
-  // DP's boundary resize did); the PO confines the splice to its cone.
+  // Commit the root to its single best implementation; the PO confines the
+  // splice to its cone.
   const Candidate& best = cand.at(root).front();
   outcome.chosen = best.sig;
   outcome.size = best.size;
@@ -174,13 +184,9 @@ RegionOutcome process_region(const mig::Mig& mig, ReplacementOracle& oracle,
 /// FFR mode: wave-parallel region DP, then a deterministic splice.
 mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
                                const RewriteParams& params, RewriteStats& stats) {
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
   const auto partition = ffr::compute_ffrs(mig);
   const auto boundary = ffr::ffr_boundary(partition);
-  cut_params.boundary = &boundary;
+  const auto cut_params = rewrite_cut_params(params, &boundary);
   const auto levels = mig.compute_levels();
 
   const uint32_t parallelism = params.pool ? params.pool->parallelism() : 1;
@@ -234,8 +240,8 @@ mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
   }
 
   // Splice: replay every region's committed cone into the result in fixed
-  // topological (= root) order, so structural hashing re-establishes
-  // cross-region sharing exactly as the sequential DP's shared build did.
+  // topological (= root) order, so structural hashing re-establishes the
+  // sharing across regions that one shared network would have had.
   mig::Mig result;
   std::vector<mig::Signal> committed_sig(mig.num_nodes(), result.get_constant(false));
   for (uint32_t i = 0; i < mig.num_pis(); ++i) {
@@ -262,11 +268,7 @@ mig::Mig rewrite_bottom_up(const mig::Mig& mig, ReplacementOracle& oracle,
     return rewrite_bottom_up_ffr(mig, oracle, params, stats);
   }
 
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
-  const auto cut_sets = cuts::enumerate_cuts(mig, cut_params);
+  const auto cut_sets = cuts::enumerate_cuts(mig, rewrite_cut_params(params, nullptr));
   const auto levels = mig.compute_levels();
 
   mig::Mig result;
@@ -276,72 +278,16 @@ mig::Mig rewrite_bottom_up(const mig::Mig& mig, ReplacementOracle& oracle,
     cand[1 + i] = {{result.create_pi(), 0, 0}};
   }
 
+  const auto lookup = [&](uint32_t n) -> std::vector<Candidate>& { return cand[n]; };
+  RewriteCounters counters;
   const auto live = mig.live_mask();
   for (uint32_t v = 0; v < mig.num_nodes(); ++v) {
     if (!mig.is_gate(v) || !live[v]) continue;
-    auto& list = cand[v];
-
-    // Baseline candidate: rebuild the node over its fanins' best candidates.
-    {
-      const auto& f = mig.fanins(v);
-      const Candidate& c0 = cand[f[0].index()].front();
-      const Candidate& c1 = cand[f[1].index()].front();
-      const Candidate& c2 = cand[f[2].index()].front();
-      Candidate base;
-      base.sig = result.create_maj(c0.sig ^ f[0].is_complemented(),
-                                   c1.sig ^ f[1].is_complemented(),
-                                   c2.sig ^ f[2].is_complemented());
-      base.size = 1 + c0.size + c1.size + c2.size;
-      base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
-      insert_candidate(list, base, params.max_candidates);
-    }
-
-    for (const auto& cut : cut_sets[v]) {
-      if (cut.size == 1 && cut.leaves[0] == v) continue;
-      const auto leaves = cut.leaf_vector();
-      ++stats.cuts_evaluated;
-      const auto f = mig::simulate_cut(mig, v, leaves);
-      const auto info = oracle.query(f, params.tally);
-      if (!info) continue;
-
-      // Iterate (capped) combinations of leaf candidates in mixed radix.
-      std::vector<uint32_t> radix(leaves.size());
-      uint64_t total = 1;
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        radix[i] = static_cast<uint32_t>(cand[leaves[i]].size());
-        total *= radix[i];
-      }
-      total = std::min<uint64_t>(total, params.max_combinations);
-      for (uint64_t combo = 0; combo < total; ++combo) {
-        uint64_t rem = combo;
-        std::vector<const Candidate*> chosen(leaves.size());
-        std::vector<mig::Signal> leaf_signals(leaves.size());
-        uint32_t size = info->size;
-        for (size_t i = 0; i < leaves.size(); ++i) {
-          chosen[i] = &cand[leaves[i]][rem % radix[i]];
-          rem /= radix[i];
-          leaf_signals[i] = chosen[i]->sig;
-          size += chosen[i]->size;
-        }
-        // Depth estimate through the replacement's input-to-output paths.
-        uint32_t depth = 0;
-        for (size_t lv = 0; lv < leaves.size(); ++lv) {
-          if (info->input_depths[lv] < 0) continue;
-          depth = std::max(depth, chosen[lv]->depth +
-                                      static_cast<uint32_t>(info->input_depths[lv]));
-        }
-        if (params.depth_preserving && depth > levels[v] + params.depth_slack) {
-          continue;
-        }
-        Candidate c;
-        c.sig = oracle.instantiate(f, result, leaf_signals, params.tally);
-        c.size = size;
-        c.depth = depth;
-        insert_candidate(list, c, params.max_candidates);
-        ++stats.replacements;
-      }
-    }
+    expand_node(mig, oracle, params, cut_sets[v], v, levels[v], result, lookup,
+                counters);
   }
+  stats.cuts_evaluated += counters.cuts_evaluated;
+  stats.replacements += counters.replacements;
 
   for (const mig::Signal o : mig.outputs()) {
     const Candidate& best = cand[o.index()].front();

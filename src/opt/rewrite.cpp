@@ -128,6 +128,11 @@ bool cone_is_replaceable(const mig::Mig& mig, const std::vector<uint32_t>& cone,
   return true;
 }
 
+cuts::CutEnumerationParams rewrite_cut_params(const RewriteParams& params,
+                                              const std::vector<bool>* boundary) {
+  return {.cut_size = params.five_input_cuts ? 5u : 4u, .boundary = boundary};
+}
+
 std::vector<int> chain_input_depths(const exact::MigChain& chain) {
   std::vector<int> result(chain.num_vars, -1);
   const uint32_t base = 1 + chain.num_vars;

@@ -35,12 +35,8 @@ struct RewriteParams {
   /// Partition into fanout-free regions first (paper Sec. IV-C).
   bool ffr_partition = false;
   /// Depth-preserving heuristic: discard replacements that locally increase
-  /// the node's level (paper Sec. IV-A) by more than `depth_slack`.
+  /// the node's level (paper Sec. IV-A).
   bool depth_preserving = false;
-  uint32_t depth_slack = 0;
-  uint32_t cut_size = 4;
-  /// Cap on stored cuts per node (0 = exhaustive).
-  uint32_t max_cuts = 0;
   /// Bottom-up: number of candidates kept per node (paper: "a predetermined
   /// number of best candidates, similar to priority cuts").
   uint32_t max_candidates = 2;
@@ -101,9 +97,10 @@ std::vector<std::string> all_variants();
 
 // --- shared internals (exposed for the two drivers and for tests) -----------
 
-/// Gates in the cone of (root, leaves), root included, leaves excluded.
-/// Returns an empty vector if the cone would cross a terminal not listed as
-/// leaf (which cannot happen for well-formed cuts).
+/// Nodes in the cone of (root, leaves), root included, leaves excluded.  The
+/// walk stops only at leaves and the constant node, so a PI that the leaves
+/// do not cover is returned as part of the cone (a well-formed cut covers
+/// every path to a PI, so this never happens for one).
 std::vector<uint32_t> cut_cone(const mig::Mig& mig, uint32_t root,
                                const std::vector<uint32_t>& leaves);
 
@@ -111,6 +108,17 @@ std::vector<uint32_t> cut_cone(const mig::Mig& mig, uint32_t root,
 /// cone (the paper's condition for a replaceable cut in global mode).
 bool cone_is_replaceable(const mig::Mig& mig, const std::vector<uint32_t>& cone,
                          uint32_t root, const std::vector<uint32_t>& fanout_counts);
+
+/// Cut enumeration of a rewrite pass: exhaustive cuts of up to 5 leaves with
+/// the 5-input extension, else up to 4, confined by `boundary` when given.
+cuts::CutEnumerationParams rewrite_cut_params(const RewriteParams& params,
+                                              const std::vector<bool>* boundary);
+
+/// Per-driver work counters, folded into RewriteStats.
+struct RewriteCounters {
+  uint64_t cuts_evaluated = 0;
+  uint64_t replacements = 0;
+};
 
 /// For each chain input, the longest path (in gates) from that input to the
 /// chain output; -1 when the input is unused.

@@ -13,14 +13,14 @@
 /// fanins.  Implemented as an explicit two-phase pass (plan top-down, build
 /// bottom-up) so deep networks cannot overflow the stack.
 ///
-/// In FFR mode the plan phase decomposes perfectly: cuts are confined to
-/// fanout-free regions, so the plan chosen for a node depends only on its own
-/// region (plus the shared read-only oracle) — never on planning order.  The
-/// driver therefore plans balanced shards of whole regions concurrently and
-/// merges by a deterministic sequential rebuild, which makes the result
-/// bit-identical for every thread count.  Global mode keeps the sequential
-/// walk: its cuts cross region boundaries, so no disjoint decomposition
-/// exists.
+/// Both modes run the same planning walk and differ only in scope.  Global
+/// mode walks every gate reachable from the outputs.  FFR mode confines cuts
+/// to fanout-free regions and walks each region from its root, so the plan
+/// chosen for a node depends only on its own region (plus the shared
+/// read-only oracle), never on planning order.  The driver therefore plans
+/// balanced shards of whole regions concurrently and merges by a
+/// deterministic sequential rebuild, which makes the result bit-identical
+/// for every thread count.
 
 namespace mighty::opt {
 
@@ -28,14 +28,9 @@ namespace {
 
 struct Plan {
   bool replace = false;
-  bool visited = false;  ///< planning reached this node (FFR mode bookkeeping)
+  bool visited = false;  ///< the planning walk reached this node
   std::vector<uint32_t> leaves;
   tt::TruthTable func;  ///< cut function over the leaves
-};
-
-struct PlanCounters {
-  uint64_t cuts_evaluated = 0;
-  uint64_t replacements = 0;
 };
 
 /// Chooses the best replacement cut for `v`, or nullopt to keep the node.
@@ -44,7 +39,7 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
                                 const std::vector<cuts::Cut>& cut_set,
                                 const std::vector<uint32_t>& fanout,
                                 const std::vector<uint32_t>& levels, uint32_t v,
-                                PlanCounters& counters) {
+                                RewriteCounters& counters) {
   int best_gain = 0;
   std::optional<Plan> best;
   for (const auto& cut : cut_set) {
@@ -78,7 +73,7 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
         new_level = std::max(new_level, levels[leaves[lv]] +
                                             static_cast<uint32_t>(info->input_depths[lv]));
       }
-      if (new_level > levels[v] + params.depth_slack) continue;
+      if (new_level > levels[v]) continue;
     }
     best_gain = gain;
     best = Plan{true, true, leaves, f};
@@ -86,23 +81,22 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
   return best;
 }
 
-/// Plans one fanout-free region top-down from its root.  Writes only to the
-/// region's own plan slots, so regions plan concurrently without contention.
-void plan_region(const mig::Mig& mig, ReplacementOracle& oracle,
-                 const RewriteParams& params,
-                 const std::vector<std::vector<cuts::Cut>>& cut_sets,
-                 const std::vector<uint32_t>& fanout,
-                 const std::vector<uint32_t>& levels,
-                 const ffr::FfrPartition& partition, uint32_t root,
-                 std::vector<Plan>& plans, PlanCounters& counters) {
-  const auto in_region = [&](uint32_t n) {
-    return mig.is_gate(n) && partition.region_root[n] == root;
-  };
-  std::vector<uint32_t> stack{root};
+/// Phase 1 shared by both modes: walks top-down from `stack`, choosing for
+/// every reached node in scope its best replacement cut.  The choice for a
+/// node never depends on other nodes' choices, only on which nodes the walk
+/// reaches.  Reads and writes only the plan slots of nodes in scope (the
+/// scope test comes first), so walks over disjoint scopes run concurrently.
+template <typename InScope>
+void plan_walk(const mig::Mig& mig, ReplacementOracle& oracle,
+               const RewriteParams& params,
+               const std::vector<std::vector<cuts::Cut>>& cut_sets,
+               const std::vector<uint32_t>& fanout, const std::vector<uint32_t>& levels,
+               std::vector<uint32_t> stack, InScope&& in_scope, std::vector<Plan>& plans,
+               RewriteCounters& counters) {
   while (!stack.empty()) {
     const uint32_t v = stack.back();
     stack.pop_back();
-    if (plans[v].visited) continue;
+    if (!in_scope(v) || plans[v].visited) continue;
     plans[v].visited = true;
 
     auto best = choose_plan(mig, oracle, params, cut_sets[v], fanout, levels, v,
@@ -110,13 +104,9 @@ void plan_region(const mig::Mig& mig, ReplacementOracle& oracle,
     if (best) {
       plans[v] = std::move(*best);
       ++counters.replacements;
-      for (const uint32_t l : plans[v].leaves) {
-        if (in_region(l)) stack.push_back(l);
-      }
+      for (const uint32_t l : plans[v].leaves) stack.push_back(l);
     } else {
-      for (const mig::Signal s : mig.fanins(v)) {
-        if (in_region(s.index())) stack.push_back(s.index());
-      }
+      for (const mig::Signal s : mig.fanins(v)) stack.push_back(s.index());
     }
   }
 }
@@ -177,13 +167,9 @@ mig::Mig rebuild_from_plans(const mig::Mig& mig, ReplacementOracle& oracle,
 /// work and shows up identically at every thread count.
 mig::Mig rewrite_top_down_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
                               const RewriteParams& params, RewriteStats& stats) {
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
   const auto partition = ffr::compute_ffrs(mig);
   const auto boundary = ffr::ffr_boundary(partition);
-  cut_params.boundary = &boundary;
+  const auto cut_params = rewrite_cut_params(params, &boundary);
   const auto fanout = mig.compute_fanout_counts();
   const auto levels = mig.compute_levels();
 
@@ -195,13 +181,16 @@ mig::Mig rewrite_top_down_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
 
   std::vector<std::vector<cuts::Cut>> cut_sets(mig.num_nodes());
   std::vector<Plan> plans(mig.num_nodes());
-  std::vector<PlanCounters> counters(plan.shards.size());
+  std::vector<RewriteCounters> counters(plan.shards.size());
   auto run_shard = [&](size_t s) {
     const auto& shard = plan.shards[s];
     enumerate_cuts_scoped(mig, cut_params, shard.nodes, cut_sets);
     for (const uint32_t root : shard.roots) {
-      plan_region(mig, oracle, params, cut_sets, fanout, levels, partition, root,
-                  plans, counters[s]);
+      const auto in_region = [&](uint32_t n) {
+        return mig.is_gate(n) && partition.region_root[n] == root;
+      };
+      plan_walk(mig, oracle, params, cut_sets, fanout, levels, {root}, in_region,
+                plans, counters[s]);
     }
   };
   if (params.pool != nullptr) {
@@ -224,38 +213,16 @@ mig::Mig rewrite_top_down(const mig::Mig& mig, ReplacementOracle& oracle,
     return rewrite_top_down_ffr(mig, oracle, params, stats);
   }
 
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
-  const auto cut_sets = cuts::enumerate_cuts(mig, cut_params);
+  const auto cut_sets = cuts::enumerate_cuts(mig, rewrite_cut_params(params, nullptr));
   const auto fanout = mig.compute_fanout_counts();
   const auto levels = mig.compute_levels();
 
-  // Phase 1: choose, per needed node, the best replacement cut.  The choice
-  // for a node never depends on other nodes' choices, only on which nodes
-  // the walk reaches.
   std::vector<Plan> plans(mig.num_nodes());
-  PlanCounters counters;
-  std::vector<uint32_t> stack;
-  for (const mig::Signal o : mig.outputs()) stack.push_back(o.index());
-  while (!stack.empty()) {
-    const uint32_t v = stack.back();
-    stack.pop_back();
-    if (plans[v].visited) continue;
-    plans[v].visited = true;
-    if (!mig.is_gate(v)) continue;
-
-    auto best =
-        choose_plan(mig, oracle, params, cut_sets[v], fanout, levels, v, counters);
-    if (best) {
-      plans[v] = std::move(*best);
-      ++counters.replacements;
-      for (const uint32_t l : plans[v].leaves) stack.push_back(l);
-    } else {
-      for (const mig::Signal s : mig.fanins(v)) stack.push_back(s.index());
-    }
-  }
+  RewriteCounters counters;
+  std::vector<uint32_t> outputs;
+  for (const mig::Signal o : mig.outputs()) outputs.push_back(o.index());
+  plan_walk(mig, oracle, params, cut_sets, fanout, levels, std::move(outputs),
+            [&](uint32_t n) { return mig.is_gate(n); }, plans, counters);
   stats.cuts_evaluated += counters.cuts_evaluated;
   stats.replacements += counters.replacements;
   return rebuild_from_plans(mig, oracle, plans, params.tally);

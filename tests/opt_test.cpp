@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <random>
+#include <sstream>
 
 #include "cec/cec.hpp"
 #include "gen/arith.hpp"
+#include "io/io.hpp"
 #include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
 #include "opt/oracle.hpp"
@@ -258,6 +262,89 @@ TEST(RewriteTest, IdempotentOnDatabaseOptimum) {
     const uint32_t before = m.count_live_gates();
     const auto optimized = functional_hashing(m, oracle, variant_params("T"));
     EXPECT_EQ(optimized.count_live_gates(), before) << "f=0x" << f.to_hex();
+  }
+}
+
+// Exact rewrite output of every variant, including the 5-input extension,
+// on depth-optimized generator networks.  Each run uses a fresh oracle, so a
+// row depends only on its driver: any change to plan order, candidate order,
+// cut order or oracle query order moves a hash or a counter.
+TEST(RewritePinTest, OutputsMatchRecordedValues) {
+  // size, depth, cuts_evaluated, replacements; the oracle's queries,
+  // answered, cache5_hits, synthesized, failures and conflicts; and the
+  // FNV-1a hash of the write_blif bytes.
+  using Values = std::array<uint64_t, 11>;
+  const std::map<std::string, Values> pins = {
+      {"adder8 TF", {91, 9, 137, 5, 132, 132, 0, 0, 0, 0, 6033854174896651477ull}},
+      {"adder8 T", {91, 10, 125, 5, 120, 120, 0, 0, 0, 0, 15686415705002978597ull}},
+      {"adder8 TFD", {94, 8, 155, 2, 153, 153, 0, 0, 0, 0, 14308356237650075127ull}},
+      {"adder8 TD", {94, 8, 152, 2, 150, 150, 0, 0, 0, 0, 14308356237650075127ull}},
+      {"adder8 B", {92, 8, 651, 3228, 651, 651, 0, 0, 0, 0, 15002197531059232600ull}},
+      {"adder8 BF", {91, 9, 167, 210, 167, 167, 0, 0, 0, 0, 12693590724022952228ull}},
+      {"adder8 BD", {95, 8, 651, 898, 651, 651, 0, 0, 0, 0, 14070568766545575256ull}},
+      {"adder8 BFD", {94, 8, 167, 133, 167, 167, 0, 0, 0, 0, 13151592082685397916ull}},
+      {"adder8 T5", {90, 10, 138, 6, 132, 110, 5, 10, 7, 148407, 1651740260666142571ull}},
+      {"adder8 TF5", {90, 9, 136, 6, 130, 122, 1, 3, 0, 8407, 5921316774447350075ull}},
+      {"multiplier4 TF", {124, 13, 187, 1, 184, 184, 0, 0, 0, 0, 6511280037447402090ull}},
+      {"multiplier4 T", {123, 15, 177, 1, 174, 174, 0, 0, 0, 0, 8596201536367883243ull}},
+      {"multiplier4 TFD", {124, 13, 187, 1, 184, 184, 0, 0, 0, 0, 6511280037447402090ull}},
+      {"multiplier4 TD", {124, 13, 178, 1, 175, 175, 0, 0, 0, 0, 6511280037447402090ull}},
+      {"multiplier4 B", {95, 11, 821, 5766, 821, 821, 0, 0, 0, 0, 1321038317738113077ull}},
+      {"multiplier4 BF", {124, 15, 199, 235, 199, 199, 0, 0, 0, 0, 7292288956288513874ull}},
+      {"multiplier4 BD", {95, 11, 821, 4504, 821, 821, 0, 0, 0, 0, 1321038317738113077ull}},
+      {"multiplier4 BFD", {124, 13, 199, 178, 199, 199, 0, 0, 0, 0, 7583627907058274943ull}},
+      {"multiplier4 T5", {123, 15, 202, 1, 194, 174, 0, 0, 0, 0, 8596201536367883243ull}},
+      {"multiplier4 TF5", {121, 13, 213, 3, 203, 176, 4, 6, 0, 22502, 12757554490297052961ull}},
+      {"sine4 TF", {191, 24, 310, 15, 288, 288, 0, 0, 0, 0, 14213371379983887034ull}},
+      {"sine4 T", {177, 26, 294, 15, 267, 267, 0, 0, 0, 0, 5935254922793787889ull}},
+      {"sine4 TFD", {213, 21, 358, 3, 352, 352, 0, 0, 0, 0, 15583960120735264879ull}},
+      {"sine4 TD", {200, 21, 342, 3, 333, 333, 0, 0, 0, 0, 3541192298935463750ull}},
+      {"sine4 B", {12, 3, 1760, 15160, 1760, 1760, 0, 0, 0, 0, 12938151633766094514ull}},
+      {"sine4 BF", {191, 28, 374, 480, 374, 374, 0, 0, 0, 0, 16494202232420059763ull}},
+      {"sine4 BD", {12, 3, 1760, 14094, 1760, 1760, 0, 0, 0, 0, 12938151633766094514ull}},
+      {"sine4 BFD", {212, 21, 374, 337, 374, 374, 0, 0, 0, 0, 7119282933898986482ull}},
+      {"sine4 T5", {174, 24, 323, 15, 294, 255, 7, 12, 3, 77996, 13102292587347026720ull}},
+      {"sine4 TF5", {190, 24, 344, 16, 313, 266, 7, 9, 0, 7342, 436999109529830514ull}},
+  };
+  struct Network {
+    const char* name;
+    mig::Mig (*make)(uint32_t);
+    uint32_t width;
+  };
+  for (const auto& net : {Network{"adder", gen::make_adder_n, 8},
+                          Network{"multiplier", gen::make_multiplier_n, 4},
+                          Network{"sine", gen::make_sine_n, 4}}) {
+    const auto baseline = algebra::depth_optimize(net.make(net.width));
+    for (const std::string variant :
+         {"TF", "T", "TFD", "TD", "B", "BF", "BD", "BFD", "T5", "TF5"}) {
+      const bool five = variant.back() == '5';
+      auto params = variant_params(five ? variant.substr(0, variant.size() - 1) : variant);
+      params.five_input_cuts = five;
+      ReplacementOracle oracle(db(), {.enable_five_input = five});
+      RewriteStats stats;
+      const auto optimized = functional_hashing(baseline, oracle, params, &stats);
+      std::ostringstream blif;
+      io::write_blif(blif, optimized);
+      testutil::Fnv1a h;
+      h.add(blif.str());
+      const Values got{stats.size_after,         stats.depth_after,
+                       stats.cuts_evaluated,     stats.replacements,
+                       stats.oracle_queries,     stats.oracle_answered,
+                       stats.oracle_cache5_hits, stats.oracle_synthesized,
+                       stats.oracle_failures,    stats.oracle_conflicts,
+                       h.value};
+      const std::string key = net.name + std::to_string(net.width) + " " + variant;
+      std::ostringstream row;
+      row << "{\"" << key << "\", {";
+      for (size_t i = 0; i < got.size(); ++i) row << (i ? ", " : "") << got[i];
+      row << "ull}},";
+      const auto pin = pins.find(key);
+      if (pin == pins.end()) {
+        ADD_FAILURE() << "no recorded row; actual: " << row.str();
+      } else {
+        EXPECT_EQ(got, pin->second) << "actual: " << row.str();
+      }
+    }
   }
 }
 
