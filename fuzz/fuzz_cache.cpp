@@ -3,7 +3,9 @@
 // wholesale validation — a malformed file is rejected without touching the
 // in-memory cache — so the property here is that the answer is always
 // `loaded` or `malformed` (a stream is never `missing`), that a loaded
-// stream reports entries >= adopted, and that loading never crashes.  The
+// stream reports entries >= adopted, and that loading never crashes.
+// `entries` counts NPN-class entries after v1/v2 keys migrate to their
+// class representatives, so several lines of one class count once.  The
 // oracle sits on an empty database: the loader path never consults it.
 
 #include <sstream>

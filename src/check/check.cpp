@@ -653,10 +653,12 @@ CheckReport lint_cache_file(const std::string& path) {
   std::string magic, version;
   size_t count = 0;
   if (!(hs >> magic >> version >> count) || magic != "mighty-mig-5cut-cache" ||
-      (version != "v1" && version != "v2")) {
+      (version != "v1" && version != "v2" && version != "v3")) {
     report.add(Code::artifact_header, 1, "bad header: \"" + header + '"');
     return report;
   }
+  // v3 keys NPN classes; v1 and v2 keys are raw functions that migrate on load.
+  const bool class_keys = version == "v3";
 
   std::unordered_set<uint64_t> seen;
   uint64_t previous_key = 0;
@@ -689,6 +691,10 @@ CheckReport lint_cache_file(const std::string& path) {
     }
     if (!seen.insert(f.bits()).second) {
       report.add(Code::artifact_entry, line_number, "duplicate key 0x" + hex);
+    }
+    if (class_keys && npn::canonize(f).representative != f) {
+      report.add(Code::artifact_not_canonical, line_number,
+                 "key 0x" + hex + " is not its NPN class representative");
     }
     if (have_previous && f.bits() <= previous_key) ordered = false;
     previous_key = f.bits();

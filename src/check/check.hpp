@@ -198,10 +198,11 @@ CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTall
 /// representative within the Theorem-2 bound of 7 gates.
 CheckReport lint_database(const exact::Database& db);
 
-/// 5-input oracle cache file lint (format v1 or v2), beyond the loader's
-/// wholesale accept/reject: per-line diagnostics (`node` = 1-based line),
-/// canonical-form keys (the stored chain must re-serialize to the stored
-/// line and realize the key function), budget monotonicity (a failure or
+/// 5-input oracle cache file lint (format v1, v2 or v3), beyond the
+/// loader's wholesale accept/reject: per-line diagnostics (`node` = 1-based
+/// line), canonical-form keys (the stored chain must re-serialize to the
+/// stored line and realize the key function, and a v3 key must be its NPN
+/// class representative), budget monotonicity (a failure or
 /// open record must record either the unlimited -1 budget — for a failure:
 /// proved absent, never retry — or a positive conflict budget; 0 would
 /// freeze a never-attempted failure forever), open records (v2 only: a

@@ -1,6 +1,7 @@
 #include "exact/chain.hpp"
 
 #include <algorithm>
+#include <limits>
 #include "util/assert.hpp"
 #include <sstream>
 #include <stdexcept>
@@ -73,6 +74,15 @@ MigChain MigChain::from_string(const std::string& line) {
   if (!(is >> chain.num_vars >> num_steps >> output)) {
     throw std::runtime_error("malformed chain line: " + line);
   }
+  // Every reference must name the constant, an input or an earlier step,
+  // and fit a RefLit: simulate() and instantiate() index by reference
+  // without checking.
+  constexpr size_t kMaxRefs = (size_t{std::numeric_limits<RefLit>::max()} + 1) / 2;
+  if (chain.num_vars > tt::TruthTable::max_vars || num_steps >= kMaxRefs ||
+      1 + chain.num_vars + num_steps > kMaxRefs ||
+      output >= 2 * (1 + chain.num_vars + num_steps)) {
+    throw std::runtime_error("malformed chain line: " + line);
+  }
   chain.output = static_cast<RefLit>(output);
   for (size_t m = 0; m < num_steps; ++m) {
     Step s;
@@ -80,10 +90,38 @@ MigChain MigChain::from_string(const std::string& line) {
     if (!(is >> f0 >> f1 >> f2)) {
       throw std::runtime_error("truncated chain line: " + line);
     }
+    if (std::max({f0, f1, f2}) >= 2 * (1 + chain.num_vars + m)) {
+      throw std::runtime_error("chain step reads a later step: " + line);
+    }
     s.fanin = {static_cast<RefLit>(f0), static_cast<RefLit>(f1), static_cast<RefLit>(f2)};
     chain.steps.push_back(s);
   }
   return chain;
+}
+
+mig::Signal ClassChain::instantiate(mig::Mig& mig,
+                                    const std::vector<mig::Signal>& leaves) const {
+  std::vector<mig::Signal> inputs(chain->num_vars, mig.get_constant(false));
+  for (uint32_t i = 0; i < chain->num_vars; ++i) {
+    const mig::Signal base = leaf(i) < leaves.size() ? leaves[leaf(i)] : mig.get_constant(false);
+    inputs[i] = base ^ (((to_member.input_negations >> i) & 1) != 0);
+  }
+  return chain->instantiate(mig, inputs) ^ to_member.output_negation;
+}
+
+MigChain ClassChain::materialize() const {
+  const auto relabel = [this](RefLit l) {
+    const uint32_t ref = ref_of(l);
+    if (ref == 0 || ref > chain->num_vars) return l;
+    const bool negated = ((to_member.input_negations >> (ref - 1)) & 1) != 0;
+    return make_ref_lit(1 + leaf(ref - 1), ref_complemented(l) != negated);
+  };
+  MigChain result = *chain;
+  for (MigChain::Step& step : result.steps) {
+    for (RefLit& l : step.fanin) l = relabel(l);
+  }
+  result.output = static_cast<RefLit>(relabel(result.output) ^ (to_member.output_negation ? 1 : 0));
+  return result;
 }
 
 }  // namespace mighty::exact

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mig/mig.hpp"
+#include "npn/npn.hpp"
 #include "tt/truth_table.hpp"
 
 /// \file chain.hpp
@@ -61,6 +62,28 @@ struct MigChain {
   /// Serialization to/from one text line (used by the database file format).
   std::string to_string() const;
   static MigChain from_string(const std::string& line);
+};
+
+/// A chain stored once for an NPN class representative, read through the
+/// transform of one member of the class: the member's function is
+/// npn::apply(chain->simulate(), to_member).  The NPN-4 database and the
+/// 5-input oracle cache both answer this way — a canonical key maps to one
+/// stored chain, and every query carries its own transform.
+struct ClassChain {
+  const MigChain* chain = nullptr;
+  npn::Transform to_member;
+
+  /// The member variable that drives chain input i.
+  uint32_t leaf(uint32_t i) const { return to_member.perm[i]; }
+
+  /// Builds the member's function inside `mig` from the stored chain, read
+  /// in place: `leaves[v]` drives member variable v (missing leaves read
+  /// constant 0), complemented where the transform says so.
+  mig::Signal instantiate(mig::Mig& mig, const std::vector<mig::Signal>& leaves) const;
+
+  /// A chain realizing the member's function directly: the stored chain
+  /// with its inputs and its output relabelled.
+  MigChain materialize() const;
 };
 
 }  // namespace mighty::exact

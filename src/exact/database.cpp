@@ -172,20 +172,7 @@ Database::LookupResult Database::lookup(const tt::TruthTable& f) const {
 
 mig::Signal Database::instantiate(const tt::TruthTable& f, mig::Mig& mig,
                                   const std::vector<mig::Signal>& leaves) const {
-  const auto result = lookup(f);
-  const auto inv = npn::inverse(result.transform);
-
-  // f == apply(rep, inv): variable i of the representative is driven by leaf
-  // inv.perm[i], complemented per inv's negation mask; the output picks up
-  // inv's output negation.
-  std::vector<mig::Signal> inputs(4, mig.get_constant(false));
-  for (uint32_t i = 0; i < 4; ++i) {
-    const uint32_t leaf = inv.perm[i];
-    const mig::Signal base =
-        leaf < leaves.size() ? leaves[leaf] : mig.get_constant(false);
-    inputs[i] = base ^ (((inv.input_negations >> i) & 1) != 0);
-  }
-  return result.entry->chain.instantiate(mig, inputs) ^ inv.output_negation;
+  return lookup(f).class_chain().instantiate(mig, leaves);
 }
 
 std::vector<uint32_t> Database::size_histogram() const {

@@ -65,6 +65,9 @@ public:
   struct LookupResult {
     const DatabaseEntry* entry;
     npn::Transform transform;  ///< canonizing transform of the query
+
+    /// The entry's chain read as the queried function.
+    ClassChain class_chain() const { return {&entry->chain, npn::inverse(transform)}; }
   };
   LookupResult lookup(const tt::TruthTable& f) const;
 

@@ -31,8 +31,9 @@
 /// to its standalone `threads=1` run.  Both levels only decide *where* and
 /// *when* work executes, never *what* is computed — passes are bit-identical
 /// at any thread count (PR 2), and oracle answers are a pure function of the
-/// queried truth table, so sharing the cache across networks changes cost,
-/// never results.
+/// queried truth table (its NPN class's cache entry read through its
+/// transform), so sharing the cache across networks changes cost, never
+/// results.
 ///
 ///   flow::Session session;
 ///   session.set_threads(8);
@@ -71,6 +72,7 @@ struct BatchReport {
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
   uint64_t oracle_failures = 0;
+  uint64_t oracle_conflicts = 0;  ///< SAT conflicts the batch's syntheses spent
 
   size_t failures() const;
   /// Fraction of oracle queries answered with a replacement; 1.0 if none.

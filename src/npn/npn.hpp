@@ -7,13 +7,17 @@
 #include "tt/truth_table.hpp"
 
 /// \file npn.hpp
-/// \brief Exact NPN classification for functions of up to four variables.
+/// \brief Exact NPN classification for functions of up to five variables.
 ///
 /// Two functions are NPN-equivalent if one can be obtained from the other by
 /// Negating inputs, Permuting inputs and/or Negating the output (paper
 /// Sec. II-D).  The canonical representative of a class is the member with the
-/// numerically smallest truth table.  For n <= 4 the full transformation group
-/// (n! * 2^n * 2 <= 768 elements) is enumerated, which is exact and fast.
+/// numerically smallest truth table.  canonize() enumerates the full
+/// transformation group (n! * 2^n * 2 elements: 768 for n = 4, 7680 for
+/// n = 5) on the raw truth-table word: one permutation per n! and one
+/// variable flip per negation mask.  The NPN-4 database keys its 222 classes
+/// by these representatives, and the 5-input oracle cache keys the classes
+/// it discovers the same way.
 
 namespace mighty::npn {
 
@@ -43,7 +47,10 @@ struct CanonResult {
   Transform transform;
 };
 
-/// Exact (exhaustive) NPN canonization; requires f.num_vars() <= 4.
+/// Exact (exhaustive) NPN canonization; requires f.num_vars() <= 5.  The
+/// transform is the first one reaching the representative in the order
+/// permutation (lexicographic, as all_permutations lists them), input
+/// negation mask (ascending), output negation (off, then on).
 CanonResult canonize(const tt::TruthTable& f);
 
 /// All NPN class representatives over exactly `num_vars` variables, sorted

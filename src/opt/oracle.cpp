@@ -17,8 +17,10 @@ namespace mighty::opt {
 namespace {
 
 constexpr const char* kCacheMagic = "mighty-mig-5cut-cache";
-constexpr const char* kCacheVersion = "v2";
-/// The previous format: the same ok/fail lines, no open lines.
+/// Keys are NPN class representatives.  v1 (ok/fail lines) and v2 (plus
+/// open lines) key raw functions and migrate on load.
+constexpr const char* kCacheVersion = "v3";
+constexpr const char* kCacheVersionV2 = "v2";
 constexpr const char* kCacheVersionV1 = "v1";
 
 /// k gates reach at most 2k + 1 inputs, so a function of full 5-variable
@@ -47,36 +49,51 @@ uint64_t total_conflicts(const exact::SynthesisResult& result) {
 
 }  // namespace
 
+bool ReplacementOracle::CacheEntry::outranks(const CacheEntry& holder) const {
+  if (chain) return !holder.chain;
+  if (!open()) {
+    return !holder.chain &&
+           (holder.open() || budget_rank(budget) > budget_rank(holder.budget));
+  }
+  return holder.open() && lower > holder.lower;
+}
+
 ReplacementOracle::ReplacementOracle(const exact::Database& db,
                                      const OracleParams& params)
     : db_(db), params_(params) {}
 
-const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
-                                                           uint32_t max_size,
-                                                           OracleTally* tally) {
+exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
+                                                     uint32_t max_size, OracleTally* tally) {
   // No 5-input chain fits below the support bound: answer without touching
   // the cache, so such queries never count as hits or syntheses.
-  if (max_size < kSupportBound) return nullptr;
+  if (max_size < kSupportBound) return {};
   const uint32_t last = std::min(max_size, params_.max_gates);
-  const uint64_t key = f5.bits();
+  // Every fact below is a fact about f5's NPN class: the search runs on the
+  // representative, and the answer reads its chain through f5's transform.
+  const auto canon = npn::canonize(f5);
+  const tt::TruthTable& rep = canon.representative;
+  const auto answer = [&canon](const exact::MigChain& chain) {
+    return exact::ClassChain{&chain, npn::inverse(canon.transform)};
+  };
+  const uint64_t key = rep.bits();
   CacheStripe& stripe = stripe_for(key);
   // Synthesis runs under the stripe lock: concurrent queries for the same
-  // function would otherwise both pay the SAT solver, and the hit/synthesis
-  // counters would depend on thread interleaving.  Functions in other
+  // class would otherwise both pay the SAT solver, and the hit/synthesis
+  // counters would depend on thread interleaving.  Classes in other
   // stripes proceed unhindered.
   util::MutexLock lock(stripe.mutex);
   const auto it = stripe.map.find(key);
   if (it != stripe.map.end() && it->second.chain && it->second.chain->size() <= max_size) {
     bump(cache5_hits_, tally, &OracleTally::cache5_hits);
-    return &*it->second.chain;
+    return answer(*it->second.chain);
   }
   // Every other query returns nothing or runs a search; only these pay for
   // the cofactor bound.  Like the support bound, a bound above the query's
   // limit answers it without touching the cache or any counter, whatever
   // the cache holds, so the counters do not depend on which query for a
-  // function happens to run first.
-  const uint32_t bound = exact::cofactor_lower_bound(db_, f5);
-  if (bound > last) return nullptr;
+  // class happens to run first.
+  const uint32_t bound = exact::cofactor_lower_bound(db_, rep);
+  if (bound > last) return {};
   uint32_t first = std::max(kSupportBound, bound);
   bool resumed = false;
   if (it != stripe.map.end()) {
@@ -91,7 +108,7 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
                            budget_rank(cached.budget);
     if (!retry) {
       bump(cache5_hits_, tally, &OracleTally::cache5_hits);
-      if (!cached.open() || cached.lower > last) return nullptr;
+      if (!cached.open() || cached.lower > last) return {};
       first = std::max(first, cached.lower);
       resumed = true;
     }
@@ -102,7 +119,7 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   options.min_gates = first;
   options.max_gates = last;
   options.conflict_limit = params_.synthesis_conflict_limit;
-  const auto result = exact::synthesize_minimum_mig(f5, options);
+  const auto result = exact::synthesize_minimum_mig(rep, options);
   const uint64_t conflicts = total_conflicts(result);
   bump(conflicts_, tally, &OracleTally::conflicts, conflicts);
 
@@ -113,13 +130,13 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   entry.dirty = true;
   if (result.status == exact::SynthesisStatus::success) {
     entry.chain = result.chain;
-    return &*entry.chain;
+    return answer(*entry.chain);
   }
   if (result.status == exact::SynthesisStatus::exhausted && last < params_.max_gates) {
     // Every problem up to the query's bound came back UNSAT: not a failure,
     // just no chain small enough yet.  A later, larger bound resumes here.
     entry.lower = last + 1;
-    return nullptr;
+    return {};
   }
   bump(failures_, tally, &OracleTally::failures);
   // "exhausted" up to max_gates is a definitive no that no conflict budget
@@ -127,44 +144,43 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   // retried.  A timeout keeps the finite budget so a richer session can try
   // again.
   if (result.status == exact::SynthesisStatus::exhausted) entry.budget = -1;
-  return nullptr;
+  return {};
 }
 
 std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthTable& f,
                                                                 OracleTally* tally,
                                                                 uint32_t max_size) {
   bump(queries_, tally, &OracleTally::queries);
-  Info info;
-  info.input_depths.assign(f.num_vars(), -1);
+  // Size, depth and per-variable input depths of a class chain read as the
+  // queried function; `vars[v]` is the query variable that variable v of the
+  // chain's member stands for.
+  const auto describe = [&f](const exact::ClassChain& chain,
+                             const std::vector<uint32_t>& vars) {
+    Info info;
+    info.size = chain.chain->size();
+    info.depth = chain.chain->depth();
+    info.input_depths.assign(f.num_vars(), -1);
+    const auto depths = chain_input_depths(*chain.chain);
+    for (uint32_t i = 0; i < depths.size(); ++i) {
+      if (depths[i] >= 0 && chain.leaf(i) < vars.size()) {
+        info.input_depths[vars[chain.leaf(i)]] = depths[i];
+      }
+    }
+    return info;
+  };
 
   if (f.support_size() <= 4) {
     std::vector<uint32_t> old_vars;
     const auto g = f.shrink_to_support(old_vars).extend(4);
-    const auto lookup = db_.lookup(g);
-    const auto inv = npn::inverse(lookup.transform);
-    const auto depths = chain_input_depths(lookup.entry->chain);
-    info.size = lookup.entry->chain.size();
-    info.depth = lookup.entry->chain.depth();
-    for (uint32_t i = 0; i < 4; ++i) {
-      if (depths[i] < 0) continue;
-      const uint32_t g_var = inv.perm[i];
-      if (g_var < old_vars.size()) {
-        info.input_depths[old_vars[g_var]] = depths[i];
-      }
-    }
     bump(answered_, tally, &OracleTally::answered);
-    return info;
+    return describe(db_.lookup(g).class_chain(), old_vars);
   }
 
   if (!params_.enable_five_input || f.num_vars() > 5) return std::nullopt;
-  const auto* chain = five_input_chain(f.extend(5), max_size, tally);
-  if (chain == nullptr) return std::nullopt;
-  info.size = chain->size();
-  info.depth = chain->depth();
-  const auto depths = chain_input_depths(*chain);
-  for (uint32_t v = 0; v < f.num_vars(); ++v) info.input_depths[v] = depths[v];
+  const auto chain = five_input_chain(f, max_size, tally);
+  if (chain.chain == nullptr) return std::nullopt;
   bump(answered_, tally, &OracleTally::answered);
-  return info;
+  return describe(chain, {0, 1, 2, 3, 4});
 }
 
 ReplacementOracle::CacheStats ReplacementOracle::cache_stats() const {
@@ -210,18 +226,22 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
   std::string magic, version;
   size_t count = 0;
   if (!(hs >> magic >> version >> count) || magic != kCacheMagic ||
-      (version != kCacheVersion && version != kCacheVersionV1)) {
+      (version != kCacheVersion && version != kCacheVersionV2 &&
+       version != kCacheVersionV1)) {
     return malformed;
   }
+  const bool raw_keys = version != kCacheVersion;
 
-  // Parse and validate the whole file before merging anything: a corrupted,
-  // truncated or duplicate-carrying cache must be rejected without leaving a
-  // partially merged in-memory state behind.  The header count is itself
-  // unvalidated input, so the reserve is clamped — a garbage count must
-  // produce `malformed`, not a length_error from a petabyte reserve.
-  std::vector<std::pair<uint64_t, CacheEntry>> parsed;
-  parsed.reserve(std::min<size_t>(count, 1u << 16));
+  // Parse, validate and migrate the whole file before merging anything: a
+  // corrupted, truncated or duplicate-carrying cache must be rejected
+  // without leaving a partially merged in-memory state behind.  v1/v2 lines
+  // key raw functions: each moves to its class representative (an `ok`
+  // chain is relabelled into the representative's frame), and lines of one
+  // class merge by the same rank as a load into memory, the first line
+  // winning a tie.
+  std::map<uint64_t, CacheEntry> parsed;  // class representative -> entry
   std::unordered_map<uint64_t, bool> seen;
+  size_t lines = 0;
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
@@ -258,7 +278,7 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
     } else if (status == "fail") {
       std::string extra;
       if (ls >> extra) return malformed;  // trailing garbage
-    } else if (status == "open" && version == kCacheVersion) {
+    } else if (status == "open" && version != kCacheVersionV1) {
       // An open entry's lower bound is at least the support bound; below it
       // the line would claim a search that never ran.
       std::string extra;
@@ -269,10 +289,19 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
       return malformed;
     }
     if (!seen.emplace(f.bits(), true).second) return malformed;  // duplicate line
-    entry.dirty = false;  // disk content is by definition persisted
-    parsed.emplace_back(f.bits(), std::move(entry));
+    ++lines;
+    // Disk content is by definition persisted — unless it migrated, in
+    // which case the next save rewrites the file in the current format.
+    entry.dirty = raw_keys;
+    const auto canon = npn::canonize(f);
+    if (!raw_keys && canon.representative != f) return malformed;  // v3 keys are classes
+    if (entry.chain && raw_keys) {
+      entry.chain = exact::ClassChain{&*entry.chain, canon.transform}.materialize();
+    }
+    const auto [it, fresh] = parsed.try_emplace(canon.representative.bits(), std::move(entry));
+    if (!fresh && entry.outranks(it->second)) it->second = std::move(entry);
   }
-  if (parsed.size() != count) return malformed;
+  if (lines != count) return malformed;
 
   CacheLoadResult result{CacheLoadStatus::loaded, parsed.size(), 0};
   for (auto& [key, disk] : parsed) {
@@ -282,26 +311,10 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
     if (it == stripe.map.end()) {
       stripe.map.emplace(key, std::move(disk));
       ++result.adopted;
-      continue;
-    }
-    CacheEntry& mem = it->second;
-    // Union semantics: success beats failure beats open; between two
-    // successes the in-memory one is kept — both are proven minima of the
-    // same function, and replacing the chain would dangle the stable
-    // pointers five_input_chain hands out; between failures the one
-    // produced under the larger budget wins, between open entries the one
-    // that searched further.
-    bool adopt = false;
-    if (disk.chain) {
-      adopt = !mem.chain;
-    } else if (!disk.open()) {
-      adopt = !mem.chain &&
-              (mem.open() || budget_rank(disk.budget) > budget_rank(mem.budget));
-    } else {
-      adopt = mem.open() && disk.lower > mem.lower;
-    }
-    if (adopt) {
-      mem = std::move(disk);
+    } else if (disk.outranks(it->second)) {
+      // Between two successes the in-memory chain stays: replacing it would
+      // dangle the pointers five_input_chain hands out.
+      it->second = std::move(disk);
       ++result.adopted;
     }
   }
@@ -395,11 +408,11 @@ mig::Signal ReplacementOracle::instantiate(const tt::TruthTable& f, mig::Mig& mi
     }
     return db_.instantiate(g, mig, mapped);
   }
-  const auto* chain = five_input_chain(f.extend(5), kUnbounded, tally);
-  if (chain == nullptr) {
+  const auto chain = five_input_chain(f, kUnbounded, tally);
+  if (chain.chain == nullptr) {
     throw std::logic_error("instantiate called without a successful query");
   }
-  return chain->instantiate(mig, leaves);
+  return chain.instantiate(mig, leaves);
 }
 
 }  // namespace mighty::opt

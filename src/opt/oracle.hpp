@@ -19,47 +19,56 @@
 /// \brief Uniform replacement oracle for the rewriting drivers.
 ///
 /// Answers "what is the minimum MIG for this cut function, and how deep is
-/// each input in it?" for functions of up to five variables:
+/// each input in it?" for functions of up to five variables.  Both paths
+/// hash by NPN class (paper Sec. II-D): the function is canonized, the class
+/// representative's chain is looked up, and the answer reads that chain
+/// through the function's transform (exact::ClassChain):
 ///
-///  * support <= 4: the precomputed NPN database (exact minima, instant);
-///  * support == 5: on-demand bounded exact synthesis with a per-function
-///    cache.  The paper notes that enumerating all NPN classes beyond four
-///    variables is impractical and that 5-input rewriting works on a
-///    dynamically discovered subset (Sec. IV, ref. [9]); this oracle is that
-///    mechanism.  Synthesis is budgeted in SAT conflicts per decision
-///    problem and in gate count: `max_gates` caps every search, and a query
-///    may pass a tighter size bound — a replacement only pays when it is
-///    smaller than the cut's cone, so the top-down drivers stop the size loop
-///    where no chain could win.  A search stopped by such a bound is cached
-///    as *open* ("no chain below L gates") and resumed at L by a later query
-///    with a larger bound, so every (function, gate count) decision problem
-///    is solved at most once.  Every search starts at the function's
-///    cofactor lower bound (`exact::cofactor_lower_bound`, read off the
-///    NPN-4 database), skipping gate counts that cannot succeed.  Failures
-///    (timeouts, or no chain within max_gates) are cached as "no
-///    replacement" together with the budget that produced them, and are
-///    re-attempted when queried under a strictly larger conflict budget.
+///  * support <= 4: the precomputed NPN-4 database (exact minima, instant);
+///  * support == 5: on-demand bounded exact synthesis of the class
+///    representative, cached once per NPN-5 class.  The paper notes that
+///    enumerating all NPN classes beyond four variables is impractical and
+///    that 5-input rewriting works on a dynamically discovered subset
+///    (Sec. IV, ref. [9]); this oracle is that mechanism.  Synthesis is
+///    budgeted in SAT conflicts per decision problem and in gate count:
+///    `max_gates` caps every search, and a query may pass a tighter size
+///    bound — a replacement only pays when it is smaller than the cut's
+///    cone, so the top-down drivers stop the size loop where no chain could
+///    win.  A search stopped by such a bound is cached as *open* ("no chain
+///    below L gates") and resumed at L by a later query with a larger bound,
+///    so every (class, gate count) decision problem is solved at most once.
+///    Every search starts at the class's cofactor lower bound
+///    (`exact::cofactor_lower_bound`, read off the NPN-4 database), skipping
+///    gate counts that cannot succeed.  Failures (timeouts, or no chain
+///    within max_gates) are cached as "no replacement" together with the
+///    budget that produced them, and are re-attempted when queried under a
+///    strictly larger conflict budget.  Chain, open bound, failure and
+///    cofactor bound are all facts about the class, so one member's search
+///    serves every other member.  The representative is synthesized rather
+///    than the member that happens to ask first, so the cached chain does not
+///    depend on which of two concurrent shards arrives first.
 ///
 /// The 5-input cache persists to disk (save_cache / load_cache): a versioned
-/// text file alongside the NPN-4 database, one line per function — hex truth
-/// table, record kind (ok / fail / open), the synthesis budget in force, the
-/// conflicts spent, then the chain of an `ok` line or the lower bound of an
-/// `open` line.  Loading unions the file with the in-memory cache (success
-/// beats failure beats open; among failures the larger budget wins, among
-/// open entries the larger lower bound), so sessions warm-start across
-/// processes the same way a batch run warm-starts across networks.
-/// Dirty-entry tracking lets save_cache skip the write when nothing changed
-/// since the last save/load.
+/// text file alongside the NPN-4 database, one line per class — hex truth
+/// table of the representative, record kind (ok / fail / open), the
+/// synthesis budget in force, the conflicts spent, then the chain of an `ok`
+/// line or the lower bound of an `open` line.  Files of the earlier formats,
+/// keyed by raw function, migrate on load.  Loading unions the file with the
+/// in-memory cache (success beats failure beats open; among failures the
+/// larger budget wins, among open entries the larger lower bound), so
+/// sessions warm-start across processes the same way a batch run
+/// warm-starts across networks.  Dirty-entry tracking lets save_cache skip
+/// the write when nothing changed since the last save/load.
 ///
 /// The oracle is shared by every shard of a parallel pass, so query() and
 /// instantiate() are safe to call concurrently: the 5-input cache is striped
-/// (each stripe a mutex-guarded map, with synthesis performed under the
-/// stripe lock so a decision problem is solved exactly once no matter how
-/// many shards race for it), and the accounting is atomic.  Because answers
-/// are a pure function of the queried truth table and size bound, and the
-/// decision problems solved for a function are the same whichever query
-/// reaches them first, cache behavior and every counter are identical
-/// whether one thread queries or eight do.
+/// by class (each stripe a mutex-guarded map, with synthesis performed under
+/// the stripe lock so a decision problem is solved exactly once no matter
+/// how many shards race for it), and the accounting is atomic.  Because
+/// answers are a pure function of the queried function's class, its
+/// transform and the size bound, and the decision problems solved for a
+/// class are the same whichever query reaches them first, cache behavior
+/// and every counter are identical whether one thread queries or eight do.
 
 namespace mighty::opt {
 
@@ -109,7 +118,7 @@ public:
   /// can use: 4-input lookups are instant and answer regardless, while a
   /// 5-input query runs only the decision problems up to it and returns
   /// std::nullopt when the minimum is larger.  One whose bound is below the
-  /// support bound (two gates for five inputs) or the function's cofactor
+  /// support bound (two gates for five inputs) or the class's cofactor
   /// lower bound returns without changing the cache, unless a cached chain
   /// fits it: it is neither a hit nor a synthesis, whether it runs before or
   /// after the query that fills the cache.  Thread-safe.  When `tally` is
@@ -128,10 +137,10 @@ public:
 
   /// Aggregate view of the 5-input cache for reporting.
   struct CacheStats {
-    size_t entries = 0;    ///< cached functions (successes + failures + open)
-    size_t successes = 0;  ///< functions with a known replacement chain
-    size_t failures = 0;   ///< functions cached as "no replacement"
-    size_t open = 0;       ///< functions whose search a size bound stopped
+    size_t entries = 0;    ///< cached NPN classes (successes + failures + open)
+    size_t successes = 0;  ///< classes with a known replacement chain
+    size_t failures = 0;   ///< classes cached as "no replacement"
+    size_t open = 0;       ///< classes whose search a size bound stopped
     size_t dirty = 0;      ///< entries not yet persisted by save_cache
   };
   CacheStats cache_stats() const;
@@ -143,21 +152,26 @@ public:
   };
   struct CacheLoadResult {
     CacheLoadStatus status = CacheLoadStatus::missing;
-    size_t entries = 0;  ///< entries parsed from the file
+    size_t entries = 0;  ///< class entries parsed from the file, after migration
     size_t adopted = 0;  ///< entries that changed or extended the in-memory cache
   };
 
   /// Merges the cache file at `path` into the in-memory 5-input cache.  The
   /// file is validated wholesale before any merge (bad magic/version, a
-  /// malformed or duplicate line, a count mismatch, or a chain that does not
-  /// realize its function reject the file without touching the cache).
-  /// Merge semantics: unknown functions are adopted; a success on disk
+  /// malformed or duplicate line, a count mismatch, a chain that does not
+  /// realize its key, or a v3 key that is not its class's representative
+  /// reject the file without touching the cache).  v1 and v2 files key raw
+  /// functions: each line moves to its class representative (an `ok` chain
+  /// is relabelled through the function's transform), and lines of one
+  /// class merge by the rank below, the first line winning a tie.
+  /// Merge semantics: unknown classes are adopted; a success on disk
   /// replaces an in-memory failure or open entry (never the reverse), and a
   /// failure replaces an open entry; between two failures the larger budget
   /// wins, between two open entries the larger lower bound; between two
   /// successes the in-memory chain is kept (both are proven minima, and
-  /// replacing it would dangle outstanding pointers).  Both format versions
-  /// load (v1 files have no open lines).  Adopted entries are clean;
+  /// replacing it would dangle outstanding pointers).  All three format
+  /// versions load (v1 files have no open lines).  Adopted entries are clean
+  /// (dirty when migrated, so the next save rewrites the file as v3);
   /// surviving in-memory entries keep their dirty bit.  Thread-safe.
   CacheLoadResult load_cache(const std::string& path);
   /// Same validation and merge over an already-open stream (in-memory
@@ -165,7 +179,7 @@ public:
   CacheLoadResult load_cache(std::istream& is);
 
   /// Persists the whole 5-input cache to `path` (crash-safe: temp file +
-  /// atomic rename; entries sorted by truth table so the file is
+  /// atomic rename; entries sorted by representative so the file is
   /// deterministic).  Skipped entirely — returning 0 — when no entry is
   /// dirty and `path` is known to hold exactly this cache already (the last
   /// successful save or whole-file load went there), so repeated autosaves
@@ -174,7 +188,7 @@ public:
   /// marks them clean.  Thread-safe.
   size_t save_cache(const std::string& path);
 
-  /// Functions whose first decision problem a query started / queries that
+  /// Classes whose first decision problem a query started / queries that
   /// reached a timeout or exhausted max_gates (for reporting).
   uint64_t synthesized_count() const {
     return synthesized_.load(std::memory_order_relaxed);
@@ -189,7 +203,7 @@ public:
   /// Queries answered with a replacement structure (4-input lookups always
   /// hit; 5-input queries hit when cached or synthesized within budget).
   uint64_t answered() const { return answered_.load(std::memory_order_relaxed); }
-  /// 5-input queries that found their function cached — answered from the
+  /// 5-input queries that found their class cached — answered from the
   /// cache, or resuming an open entry's search.
   uint64_t cache5_hits() const { return cache5_hits_.load(std::memory_order_relaxed); }
   /// SAT conflicts spent on on-demand synthesis.
@@ -205,11 +219,12 @@ private:
   /// stream has no on-disk identity for the clean-skip bookkeeping.
   CacheLoadResult load_cache_stream(std::istream& is, const std::string& path);
 
-  /// One cached 5-input synthesis outcome.  `budget` is the conflict limit
-  /// in force when the entry was produced: -1 means unlimited — for a
-  /// failure that encodes "proved absent within max_gates, never retry",
-  /// while a finite budget on a failure marks a timeout that a later query
-  /// under a larger budget re-attempts.  `lower` > 0 marks an open entry:
+  /// One cached 5-input synthesis outcome for an NPN class, keyed by the
+  /// class representative; `chain` realizes the representative.  `budget`
+  /// is the conflict limit in force when the entry was produced: -1 means
+  /// unlimited — for a failure that encodes "proved absent within
+  /// max_gates, never retry", while a finite budget on a failure marks a
+  /// timeout that a later query under a larger budget re-attempts.  `lower` > 0 marks an open entry:
   /// no chain has fewer than `lower` gates, and the search stopped there.
   /// `conflicts` is the solver effort spent producing the entry (summed
   /// over decision problems, accumulated across retries and resumptions).
@@ -222,11 +237,17 @@ private:
     bool dirty = true;
 
     bool open() const { return !chain && lower > 0; }
+    /// Merge rank of two records of one class: success beats failure beats
+    /// open; between failures the larger budget wins, between open entries
+    /// the larger lower bound.  On a tie the holder stays — between two
+    /// successes too, since both are proven minima of the same class.
+    bool outranks(const CacheEntry& holder) const;
   };
 
-  /// One lock-striped slice of the 5-input cache.  16 stripes keep cross-
-  /// shard contention negligible while a per-stripe lock makes "look up or
-  /// synthesize" a single atomic step.
+  /// One lock-striped slice of the 5-input cache, keyed by class
+  /// representative.  16 stripes keep cross-shard contention negligible
+  /// while a per-stripe lock makes "look up or synthesize" a single atomic
+  /// step for the whole class.
   struct CacheStripe {
     mutable util::Mutex mutex{util::LockRank::oracle_stripe};  ///< cache_stats() locks from const
     std::unordered_map<uint64_t, CacheEntry> map MIGHTY_GUARDED_BY(mutex);
@@ -237,11 +258,14 @@ private:
     return cache5_[(key * 0x9e3779b97f4a7c15ull) >> 60 & (kCacheStripes - 1)];
   }
 
+  /// The chain of f5's NPN class read through f5's transform, or a null
+  /// chain when no chain of at most `max_size` gates is known or found.
   /// Chains are created once and only ever replaced by a success overwriting
-  /// a failure or open entry (never erased), and unordered_map never moves its elements,
-  /// so the returned pointer stays valid after the stripe lock is released.
-  const exact::MigChain* five_input_chain(const tt::TruthTable& f5, uint32_t max_size,
-                                          OracleTally* tally);
+  /// a failure or open entry (never erased), and unordered_map never moves
+  /// its elements, so the returned pointer stays valid after the stripe lock
+  /// is released.
+  exact::ClassChain five_input_chain(const tt::TruthTable& f5, uint32_t max_size,
+                                     OracleTally* tally);
 
   const exact::Database& db_;
   OracleParams params_;

@@ -454,6 +454,18 @@ TEST_F(CacheLintTest, OpenRecordsPassInV2) {
   EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
 }
 
+TEST_F(CacheLintTest, VersionThreeKeysMustBeClassRepresentatives) {
+  // 0000ffff (!x5) represents the class of aaaaaaaa (x1); e8e8e8e8
+  // (<x1 x2 x3>) is a member of 000f0fff's class, not its representative.
+  const auto report = lint(
+      "mighty-mig-5cut-cache v3 2\n"
+      "0000ffff ok -1 0 5 0 11\n"
+      "e8e8e8e8 ok 20000 137 5 1 12 2 4 6\n");
+  ASSERT_TRUE(report.has(Code::artifact_not_canonical)) << report.summary();
+  EXPECT_EQ(report.find(Code::artifact_not_canonical)->node, 3u);
+  EXPECT_EQ(report.num_errors(), 1u) << report.summary();
+}
+
 TEST_F(CacheLintTest, MalformedOpenRecords) {
   const auto report = lint(
       "mighty-mig-5cut-cache v2 6\n"

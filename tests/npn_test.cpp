@@ -10,6 +10,44 @@ namespace {
 
 using tt::TruthTable;
 
+/// Reference canonization: every transform applied through apply(), in the
+/// order canonize() documents.  canonize() must reproduce it bit for bit —
+/// the NPN-4 lookup table stores these transforms, and rewriting outputs
+/// depend on them.
+CanonResult reference_canonize(const TruthTable& f) {
+  const uint32_t n = f.num_vars();
+  CanonResult best;
+  bool have_best = false;
+  Transform t;
+  t.num_vars = static_cast<uint8_t>(n);
+  for (const auto& perm : all_permutations(n)) {
+    t.perm = perm;
+    for (uint32_t neg = 0; neg < (1u << n); ++neg) {
+      t.input_negations = static_cast<uint8_t>(neg);
+      for (uint32_t out = 0; out < 2; ++out) {
+        t.output_negation = out != 0;
+        const TruthTable candidate = apply(f, t);
+        if (!have_best || candidate < best.representative) {
+          best.representative = candidate;
+          best.transform = t;
+          have_best = true;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+Transform random_transform(uint32_t n, std::mt19937_64& rng) {
+  const auto perms = all_permutations(n);
+  Transform t;
+  t.num_vars = static_cast<uint8_t>(n);
+  t.perm = perms[rng() % perms.size()];
+  t.input_negations = static_cast<uint8_t>(rng() & ((1u << n) - 1));
+  t.output_negation = (rng() & 1) != 0;
+  return t;
+}
+
 TEST(NpnTest, IdentityTransformIsNoOp) {
   Transform t;
   t.num_vars = 4;
@@ -142,6 +180,43 @@ TEST(NpnTest, ClassOrbitsPartitionAllFunctions) {
 TEST(NpnTest, RepresentativesCanonizeToThemselves) {
   for (const auto& rep : enumerate_classes(3)) {
     EXPECT_EQ(canonize(rep).representative, rep);
+  }
+}
+
+TEST(NpnTest, CanonizeMatchesReferenceLoopOnEveryFunctionUpToFourVariables) {
+  for (uint32_t n = 0; n <= 4; ++n) {
+    for (uint64_t bits = 0; bits < (uint64_t{1} << (1u << n)); ++bits) {
+      const TruthTable f(n, bits);
+      const auto got = canonize(f);
+      const auto want = reference_canonize(f);
+      ASSERT_EQ(got.representative, want.representative) << "n=" << n << " f=" << f.to_hex();
+      ASSERT_EQ(got.transform, want.transform) << "n=" << n << " f=" << f.to_hex();
+    }
+  }
+}
+
+TEST(NpnTest, FiveVariableRepresentativeIsReachedByItsTransform) {
+  std::mt19937_64 rng(8);
+  for (int i = 0; i < 300; ++i) {
+    const TruthTable f(5, rng());
+    const auto r = canonize(f);
+    EXPECT_EQ(apply(f, r.transform), r.representative) << "f=" << f.to_hex();
+    EXPECT_EQ(apply(r.representative, inverse(r.transform)), f) << "f=" << f.to_hex();
+    EXPECT_FALSE(f < r.representative) << "f=" << f.to_hex();
+  }
+}
+
+TEST(NpnTest, FiveVariableRepresentativeIsInvariantUnderTransforms) {
+  // 1000 random transforms, spread over ten random functions.
+  std::mt19937_64 rng(9);
+  for (int i = 0; i < 10; ++i) {
+    const TruthTable f(5, rng());
+    const auto rep = canonize(f).representative;
+    EXPECT_EQ(canonize(rep).representative, rep);
+    for (int j = 0; j < 100; ++j) {
+      const TruthTable g = apply(f, random_transform(5, rng));
+      ASSERT_EQ(canonize(g).representative, rep) << "f=" << f.to_hex() << " g=" << g.to_hex();
+    }
   }
 }
 

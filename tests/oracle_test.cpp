@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "cec/cec.hpp"
@@ -271,6 +272,11 @@ TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
                   "mighty-mig-5cut-cache v1 2\n" + entry_line + entry_line);
   expect_rejected("garbage_line.db",
                   "mighty-mig-5cut-cache v1 1\nzzzz nope 1 2\n");
+  // References past the chain's own steps must not reach simulate().
+  expect_rejected("step_reads_later_step.db",
+                  "mighty-mig-5cut-cache v1 1\n000f0fff ok 1 0 5 1 12 2 4 12\n");
+  expect_rejected("output_past_last_step.db",
+                  "mighty-mig-5cut-cache v1 1\n000f0fff ok 1 0 5 1 14 2 4 6\n");
   // A chain filed under the wrong function must fail the simulation check:
   // swap the truth-table hex of the valid entry for a different function.
   const auto other = maj5_table() ^ tt::TruthTable::projection(5, 0);
@@ -566,9 +572,12 @@ TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
     EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
     ASSERT_EQ(oracle.save_cache(path), 1u);
   }
+  // The entry is filed under the class representative, not under f.
   const std::string text = file_text(path);
-  EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v2 1\n", 0), 0u) << text;
-  EXPECT_NE(text.find(f.to_hex() + " open 20000 "), std::string::npos) << text;
+  const auto key = npn::canonize(f).representative;
+  ASSERT_NE(key, f);
+  EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v3 1\n", 0), 0u) << text;
+  EXPECT_NE(text.find(key.to_hex() + " open 20000 "), std::string::npos) << text;
   EXPECT_EQ(text.substr(text.size() - 3), " 4\n") << text;  // lower bound
 
   ReplacementOracle oracle(db(), five_input_params());
@@ -633,6 +642,165 @@ TEST(OracleBoundTest, MergeRanksSuccessOverFailureOverOpen) {
   EXPECT_EQ(merged(open4, open3), 0u);
   EXPECT_EQ(merged(open4, fail), 1u);   // failure beats open
   EXPECT_EQ(merged(fail, open4), 0u);
+}
+
+// --- one cache entry per NPN class -------------------------------------------
+
+/// A member of f's NPN class other than f: inputs permuted and complemented,
+/// output complemented.
+tt::TruthTable other_member(const tt::TruthTable& f, uint32_t salt) {
+  npn::Transform t;
+  t.num_vars = 5;
+  t.perm = {static_cast<uint8_t>((salt + 2) % 5), static_cast<uint8_t>((salt + 4) % 5),
+            static_cast<uint8_t>((salt + 1) % 5), static_cast<uint8_t>((salt + 3) % 5),
+            static_cast<uint8_t>(salt % 5), 5};
+  t.input_negations = static_cast<uint8_t>((0x13 * (salt + 1)) & 0x1f);
+  t.output_negation = (salt & 1) == 0;
+  return npn::apply(f, t);
+}
+
+/// The replacement the oracle instantiates for f, checked by SAT against an
+/// independent realization of f (the Shannon construction over the NPN-4
+/// database).
+bool instantiates_correctly(ReplacementOracle& oracle, const tt::TruthTable& f) {
+  mig::Mig replacement, reference;
+  const auto pis = replacement.create_pis(5);
+  replacement.create_po(oracle.instantiate(f, replacement, pis));
+  const auto ref_pis = reference.create_pis(5);
+  reference.create_po(exact::build_shannon(db(), f, reference, ref_pis));
+  return cec::check_equivalence(replacement, reference).status ==
+         cec::CecStatus::equivalent;
+}
+
+TEST(OracleClassTest, TwoMembersOfOneClassShareOneSynthesis) {
+  const auto f = structured_five_input_functions()[1];
+  const auto g = other_member(f, 1);
+  ASSERT_NE(f, g);
+  ASSERT_EQ(npn::canonize(f).representative, npn::canonize(g).representative);
+
+  ReplacementOracle oracle(db(), five_input_params());
+  const auto info_f = oracle.query(f);
+  const auto info_g = oracle.query(g);
+  ASSERT_TRUE(info_f.has_value());
+  ASSERT_TRUE(info_g.has_value());
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+  EXPECT_EQ(oracle.cache5_hits(), 1u);
+  EXPECT_EQ(oracle.cache_stats().entries, 1u);
+  EXPECT_EQ(info_f->size, info_g->size);
+  EXPECT_EQ(info_f->depth, info_g->depth);
+  EXPECT_TRUE(instantiates_correctly(oracle, f));
+  EXPECT_TRUE(instantiates_correctly(oracle, g));
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+}
+
+TEST(OracleClassTest, CountersAndCacheBytesIgnoreThreadsAndOrder) {
+  // Members of several classes under several size bounds: chains, open
+  // entries and a budget failure, each class reached by different members
+  // first depending on the schedule.
+  std::vector<std::pair<tt::TruthTable, uint32_t>> work;
+  const std::vector<uint32_t> bounds = {ReplacementOracle::kUnbounded, 3, 4, 6};
+  auto functions = structured_five_input_functions();
+  functions.push_back(bound_below_minimum_table());
+  functions.push_back(maj5_table());
+  for (size_t i = 0; i < functions.size(); ++i) {
+    for (uint32_t salt = 0; salt < 4; ++salt) {
+      work.emplace_back(salt == 0 ? functions[i] : other_member(functions[i], salt),
+                        bounds[(i + salt) % bounds.size()]);
+    }
+  }
+  struct Outcome {
+    std::string cache;
+    std::array<uint64_t, 6> counters;
+    bool operator==(const Outcome&) const = default;
+  };
+  ScratchDir scratch("mighty_oracle_classes");
+  const auto run = [&](uint32_t seed, bool threaded) {
+    OracleParams params = five_input_params();
+    params.synthesis_conflict_limit = 2000;  // some searches time out
+    ReplacementOracle oracle(db(), params);
+    std::vector<std::vector<std::pair<tt::TruthTable, uint32_t>>> lists(3, work);
+    for (uint32_t t = 0; t < lists.size(); ++t) {
+      std::shuffle(lists[t].begin(), lists[t].end(), std::mt19937(seed + t));
+    }
+    const auto query_all = [&oracle](const std::vector<std::pair<tt::TruthTable, uint32_t>>& list) {
+      for (const auto& [f, bound] : list) oracle.query(f, nullptr, bound);
+    };
+    if (threaded) {
+      std::vector<std::thread> threads;
+      for (const auto& list : lists) threads.emplace_back([&query_all, &list] { query_all(list); });
+      for (auto& thread : threads) thread.join();
+    } else {
+      for (const auto& list : lists) query_all(list);
+    }
+    const auto path = (scratch.dir / ("c5_" + std::to_string(seed) + ".db")).string();
+    oracle.save_cache(path);
+    return Outcome{file_text(path),
+                   {oracle.queries(), oracle.answered(), oracle.cache5_hits(),
+                    oracle.synthesized_count(), oracle.synthesis_failures(),
+                    oracle.sat_conflicts()}};
+  };
+  const Outcome reference = run(1, false);
+  EXPECT_EQ(reference.counters[3], functions.size()) << "one synthesis per class";
+  EXPECT_EQ(run(2, false), reference);
+  EXPECT_EQ(run(3, true), reference);
+  EXPECT_EQ(run(4, true), reference);
+}
+
+TEST(OracleClassTest, VersionTwoFileMigratesMembersToOneClassEntry) {
+  const auto f = structured_five_input_functions()[2];
+  const auto g = other_member(f, 2);
+  const auto canon_f = npn::canonize(f);
+  ASSERT_EQ(canon_f.representative, npn::canonize(g).representative);
+  // f's own minimum chain, as a v2 session cached it under f.
+  const auto f_chain = exact::synthesize_minimum_mig(f).chain;
+  ASSERT_EQ(f_chain.simulate(), f);
+
+  std::istringstream v2("mighty-mig-5cut-cache v2 2\n" + f.to_hex() + " ok 20000 50 " +
+                        f_chain.to_string() + "\n" + g.to_hex() + " open 20000 7 3\n");
+  ReplacementOracle oracle(db(), five_input_params());
+  const auto loaded = oracle.load_cache(v2);
+  ASSERT_EQ(loaded.status, ReplacementOracle::CacheLoadStatus::loaded);
+  EXPECT_EQ(loaded.entries, 1u);
+  EXPECT_EQ(loaded.adopted, 1u);
+  const auto stats = oracle.cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.successes, 1u);
+  EXPECT_EQ(stats.dirty, 1u) << "a migrated entry is rewritten by the next save";
+  EXPECT_TRUE(oracle.query(f).has_value());
+  EXPECT_TRUE(oracle.query(g).has_value());
+  EXPECT_EQ(oracle.synthesized_count(), 0u);
+  EXPECT_EQ(oracle.cache5_hits(), 2u);
+  EXPECT_TRUE(instantiates_correctly(oracle, f));
+  EXPECT_TRUE(instantiates_correctly(oracle, g));
+
+  // Saved again, the entry is one v3 line under the class representative.
+  ScratchDir scratch("mighty_oracle_migrate");
+  const auto path = (scratch.dir / "c5.db").string();
+  ASSERT_EQ(oracle.save_cache(path), 1u);
+  const std::string text = file_text(path);
+  EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v3 1\n" + canon_f.representative.to_hex() +
+                           " ok 20000 50 ",
+                       0),
+            0u)
+      << text;
+}
+
+TEST(OracleClassTest, VersionThreeKeysMustBeCanonical) {
+  const auto f = maj5_table();
+  const auto rep = npn::canonize(f).representative;
+  ASSERT_NE(f, rep);
+  const auto load = [](const std::string& contents) {
+    std::istringstream is(contents);
+    ReplacementOracle oracle(db(), five_input_params());
+    return oracle.load_cache(is).status;
+  };
+  EXPECT_EQ(load("mighty-mig-5cut-cache v3 1\n" + rep.to_hex() + " fail 20000 30\n"),
+            ReplacementOracle::CacheLoadStatus::loaded);
+  EXPECT_EQ(load("mighty-mig-5cut-cache v3 1\n" + f.to_hex() + " fail 20000 30\n"),
+            ReplacementOracle::CacheLoadStatus::malformed);
+  // The same line is a valid v2 record: raw keys migrate.
+  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n" + f.to_hex() + " fail 20000 30\n"),
+            ReplacementOracle::CacheLoadStatus::loaded);
 }
 
 TEST(OracleTest, FiveInputRewritingPreservesFunction) {

@@ -5,7 +5,7 @@
 //   $ MIGHTY_DB_PATH=build/data/mig_npn4.db ./build/build_npn_db
 //
 // With --cache <path> it additionally validates a persistent 5-input oracle
-// cache file (the `mighty-mig-5cut-cache v1` format): loads it through the
+// cache file (the `mighty-mig-5cut-cache` format, v1 to v3): loads it through the
 // same wholesale validation every session uses and prints its stats.  A
 // missing file is fine (it appears on first save); a malformed one fails the
 // run — useful for checking a CI-restored cache before benches rely on it.
