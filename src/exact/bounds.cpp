@@ -1,6 +1,8 @@
 #include "exact/bounds.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -38,17 +40,41 @@ uint32_t shannon_size(const Database& db, const tt::TruthTable& f) {
   return m.count_live_gates();
 }
 
-uint32_t cofactor_lower_bound(const Database& db, const tt::TruthTable& f) {
-  MIGHTY_ASSERT(f.num_vars() <= 5);
-  uint32_t bound = 0;
+uint32_t size_lower_bound(const Database& db, const tt::TruthTable& f) {
+  const uint32_t n = f.num_vars();
+  MIGHTY_ASSERT(n <= 5);
+  // Constants and literals need no gate, so they have no first gate either.
+  if (f.support_size() < 2) return 0;
   std::vector<uint32_t> old_vars;
-  for (uint32_t var = 0; var < f.num_vars(); ++var) {
-    for (const bool value : {false, true}) {
-      const auto g = f.cofactor(var, value).shrink_to_support(old_vars).extend(4);
-      bound = std::max(bound, db.lookup(g).entry->chain.size());
+  const auto size = [&](const tt::TruthTable& g) {
+    return db.lookup(g.shrink_to_support(old_vars)).entry->chain.size();
+  };
+  std::array<uint32_t, 5> co{};                // CO_a
+  std::array<std::array<uint32_t, 5>, 5> w{};  // W_ab, a < b
+  uint32_t bound = 0;
+  for (uint32_t a = 0; a < n; ++a) {
+    const auto f0 = f.cofactor(a, false);
+    const auto f1 = f.cofactor(a, true);
+    co[a] = std::max(size(f0), size(f1));
+    bound = std::max(bound, co[a]);
+    for (uint32_t b = a + 1; b < n; ++b) {
+      const auto xb = tt::TruthTable::projection(n, b);
+      w[a][b] = std::max(size(tt::TruthTable::ite(xb, f1, f0)),   // x_a := x_b
+                         size(tt::TruthTable::ite(xb, f0, f1)));  // x_a := !x_b
+      bound = std::max(bound, w[a][b]);
     }
   }
-  return bound;
+  // The cheapest first gate: two variables and a constant, or three variables.
+  uint32_t first_gate = std::numeric_limits<uint32_t>::max();
+  for (uint32_t a = 0; a < n; ++a) {
+    for (uint32_t b = a + 1; b < n; ++b) {
+      first_gate = std::min(first_gate, std::max({w[a][b], co[a], co[b]}));
+      for (uint32_t c = b + 1; c < n; ++c) {
+        first_gate = std::min(first_gate, std::max({w[a][b], w[a][c], w[b][c]}));
+      }
+    }
+  }
+  return std::max(bound, 1 + first_gate);
 }
 
 }  // namespace mighty::exact

@@ -88,11 +88,11 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
     return answer(*it->second.chain);
   }
   // Every other query returns nothing or runs a search; only these pay for
-  // the cofactor bound.  Like the support bound, a bound above the query's
+  // the size lower bound.  Like the support bound, a bound above the query's
   // limit answers it without touching the cache or any counter, whatever
   // the cache holds, so the counters do not depend on which query for a
   // class happens to run first.
-  const uint32_t bound = exact::cofactor_lower_bound(db_, rep);
+  const uint32_t bound = exact::size_lower_bound(db_, rep);
   if (bound > last) return {};
   uint32_t first = std::max(kSupportBound, bound);
   bool resumed = false;

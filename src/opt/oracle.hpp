@@ -37,16 +37,18 @@
 ///    win.  A search stopped by such a bound is cached as *open* ("no chain
 ///    below L gates") and resumed at L by a later query with a larger bound,
 ///    so every (class, gate count) decision problem is solved at most once.
-///    Every search starts at the class's cofactor lower bound
-///    (`exact::cofactor_lower_bound`, read off the NPN-4 database), skipping
-///    gate counts that cannot succeed.  Failures (timeouts, or no chain
-///    within max_gates) are cached as "no replacement" together with the
-///    budget that produced them, and are re-attempted when queried under a
-///    strictly larger conflict budget.  Chain, open bound, failure and
-///    cofactor bound are all facts about the class, so one member's search
-///    serves every other member.  The representative is synthesized rather
-///    than the member that happens to ask first, so the cached chain does not
-///    depend on which of two concurrent shards arrives first.
+///    Every search starts at the class's size lower bound
+///    (`exact::size_lower_bound`: cofactors, variable identifications and
+///    first-gate elimination, read off the NPN-4 database), skipping gate
+///    counts that cannot succeed, and a query bounded below it is answered
+///    without SAT.  Failures (timeouts, or no chain within max_gates) are
+///    cached as "no replacement" together with the budget that produced
+///    them, and are re-attempted when queried under a strictly larger
+///    conflict budget.  Chain, open bound, failure and size bound are all
+///    facts about the class, so one member's search serves every other
+///    member.  The representative is synthesized rather than the member
+///    that happens to ask first, so the cached chain does not depend on
+///    which of two concurrent shards arrives first.
 ///
 /// The 5-input cache persists to disk (save_cache / load_cache): a versioned
 /// text file alongside the NPN-4 database, one line per class — hex truth
@@ -118,7 +120,7 @@ public:
   /// can use: 4-input lookups are instant and answer regardless, while a
   /// 5-input query runs only the decision problems up to it and returns
   /// std::nullopt when the minimum is larger.  One whose bound is below the
-  /// support bound (two gates for five inputs) or the class's cofactor
+  /// support bound (two gates for five inputs) or the class's size
   /// lower bound returns without changing the cache, unless a cached chain
   /// fits it: it is neither a hit nor a synthesis, whether it runs before or
   /// after the query that fills the cache.  Thread-safe.  When `tally` is

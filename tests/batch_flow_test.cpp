@@ -273,8 +273,8 @@ TEST(BatchFlowTest, SharedOracleAmortizesSynthesisAcrossNetworks) {
   // strictly fewer syntheses than the sum of cold per-network sessions —
   // without changing any result.
   Corpus corpus;
+  corpus.add("adder8", algebra::depth_optimize(gen::make_adder_n(8)));
   corpus.add("adder12", algebra::depth_optimize(gen::make_adder_n(12)));
-  corpus.add("adder16", algebra::depth_optimize(gen::make_adder_n(16)));
   const auto pipeline = Pipeline::parse("TF5");
   EXPECT_EQ(pipeline.to_string(), "TF5");  // the 5-cut word round-trips
 

@@ -441,19 +441,19 @@ OracleParams five_input_params() {
   return params;
 }
 
-/// A function whose cofactor bound (3) is below its minimum (4 gates), so a
-/// query bounded at 3 runs a decision problem and leaves an open entry.
-tt::TruthTable bound_below_minimum_table() { return tt::TruthTable::from_hex(5, "0000ffe0"); }
+/// A function whose size bound (4) is below its minimum (5 gates), so a
+/// query bounded at 4 runs a decision problem and leaves an open entry.
+tt::TruthTable bound_below_minimum_table() { return tt::TruthTable::from_hex(5, "30115150"); }
 
 TEST(OracleBoundTest, BoundBelowMinimumLeavesOpenEntryThatLaterBoundsResume) {
-  const auto f = bound_below_minimum_table();  // minimum: 4 gates
+  const auto f = bound_below_minimum_table();  // minimum: 5 gates
   ReplacementOracle cold(db(), five_input_params());
   const auto expected = cold.query(f);
   ASSERT_TRUE(expected.has_value());
-  ASSERT_EQ(expected->size, 4u);
+  ASSERT_EQ(expected->size, 5u);
 
   ReplacementOracle oracle(db(), five_input_params());
-  EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
+  EXPECT_FALSE(oracle.query(f, nullptr, 4).has_value());
   auto stats = oracle.cache_stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.open, 1u);
@@ -462,12 +462,12 @@ TEST(OracleBoundTest, BoundBelowMinimumLeavesOpenEntryThatLaterBoundsResume) {
   EXPECT_EQ(oracle.synthesis_failures(), 0u);
   EXPECT_EQ(oracle.answered(), 0u);
   // Asking again under the same bound is a plain hit: no new SAT work.
-  const uint64_t conflicts_at_three = oracle.sat_conflicts();
-  EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
-  EXPECT_EQ(oracle.sat_conflicts(), conflicts_at_three);
+  const uint64_t conflicts_at_four = oracle.sat_conflicts();
+  EXPECT_FALSE(oracle.query(f, nullptr, 4).has_value());
+  EXPECT_EQ(oracle.sat_conflicts(), conflicts_at_four);
   EXPECT_EQ(oracle.cache5_hits(), 1u);
 
-  // A larger bound resumes the search at four gates and finds exactly the
+  // A larger bound resumes the search at five gates and finds exactly the
   // chain the cold unbounded oracle found, for the same total effort.
   OracleTally tally;
   const auto info = oracle.query(f, &tally, 6);
@@ -477,7 +477,7 @@ TEST(OracleBoundTest, BoundBelowMinimumLeavesOpenEntryThatLaterBoundsResume) {
   EXPECT_EQ(info->input_depths, expected->input_depths);
   EXPECT_EQ(tally.cache5_hits.load(), 1u);
   EXPECT_EQ(tally.synthesized.load(), 0u);
-  EXPECT_EQ(tally.conflicts.load(), oracle.sat_conflicts() - conflicts_at_three);
+  EXPECT_EQ(tally.conflicts.load(), oracle.sat_conflicts() - conflicts_at_four);
   EXPECT_EQ(oracle.synthesized_count(), 1u);
   EXPECT_EQ(oracle.sat_conflicts(), cold.sat_conflicts());
   stats = oracle.cache_stats();
@@ -486,8 +486,8 @@ TEST(OracleBoundTest, BoundBelowMinimumLeavesOpenEntryThatLaterBoundsResume) {
   EXPECT_EQ(instantiated_blif(oracle, f), instantiated_blif(cold, f));
 
   // A known chain larger than a query's bound is not an answer for it.
-  EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
-  EXPECT_TRUE(oracle.query(f, nullptr, 4).has_value());
+  EXPECT_FALSE(oracle.query(f, nullptr, 4).has_value());
+  EXPECT_TRUE(oracle.query(f, nullptr, 5).has_value());
 }
 
 TEST(OracleBoundTest, BoundBelowSupportBoundCreatesNoEntry) {
@@ -504,12 +504,12 @@ TEST(OracleBoundTest, BoundBelowSupportBoundCreatesNoEntry) {
   EXPECT_TRUE(oracle.query(tt::TruthTable(4, 0x6996), nullptr, 0).has_value());
 }
 
-TEST(OracleBoundTest, QueryBelowCofactorBoundCreatesNoEntry) {
+TEST(OracleBoundTest, QueryBelowSizeBoundCreatesNoEntry) {
   // maj5's cofactors are the 2-of-4 and 3-of-4 thresholds, 4 gates each:
   // the bound is maj5's minimum, and every query bounded below it is
   // answered by the bound alone.
   const auto f = maj5_table();
-  ASSERT_EQ(exact::cofactor_lower_bound(db(), f), 4u);
+  ASSERT_EQ(exact::size_lower_bound(db(), f), 4u);
   ReplacementOracle oracle(db(), five_input_params());
   OracleTally tally;
   for (const uint32_t bound : {2u, 3u}) {
@@ -530,7 +530,7 @@ TEST(OracleBoundTest, QueryBelowCofactorBoundCreatesNoEntry) {
   EXPECT_EQ(oracle.synthesized_count(), 1u);
 }
 
-TEST(OracleBoundTest, QueryBelowCofactorBoundCountsNothingWhateverTheCacheHolds) {
+TEST(OracleBoundTest, QueryBelowSizeBoundCountsNothingWhateverTheCacheHolds) {
   // A query below the bound counts nothing whether it runs before or after
   // the query that fills the cache, so the counters of a threaded run do not
   // depend on the order its queries happen to take.
@@ -553,11 +553,11 @@ TEST(OracleBoundTest, QueryBelowCofactorBoundCountsNothingWhateverTheCacheHolds)
   EXPECT_EQ(chain_first, run(maj5, {3, 6}));
   EXPECT_EQ(chain_first.synthesized, 1u);
   EXPECT_EQ(chain_first.hits, 0u);
-  // 0000ffe0 (bound 3): an open entry "no chain below 4" against a query
-  // bounded at 2.
+  // 30115150 (bound 4): an open entry "no chain below 5" against a query
+  // bounded at 3.
   const auto f = bound_below_minimum_table();
-  const auto open_first = run(f, {3, 2});
-  EXPECT_EQ(open_first, run(f, {2, 3}));
+  const auto open_first = run(f, {4, 3});
+  EXPECT_EQ(open_first, run(f, {3, 4}));
   EXPECT_EQ(open_first.open, 1u);
   EXPECT_EQ(open_first.synthesized, 1u);
   EXPECT_EQ(open_first.hits, 0u);
@@ -569,7 +569,7 @@ TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
   const auto f = bound_below_minimum_table();
   {
     ReplacementOracle oracle(db(), five_input_params());
-    EXPECT_FALSE(oracle.query(f, nullptr, 3).has_value());
+    EXPECT_FALSE(oracle.query(f, nullptr, 4).has_value());
     ASSERT_EQ(oracle.save_cache(path), 1u);
   }
   // The entry is filed under the class representative, not under f.
@@ -578,7 +578,7 @@ TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
   ASSERT_NE(key, f);
   EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v3 1\n", 0), 0u) << text;
   EXPECT_NE(text.find(key.to_hex() + " open 20000 "), std::string::npos) << text;
-  EXPECT_EQ(text.substr(text.size() - 3), " 4\n") << text;  // lower bound
+  EXPECT_EQ(text.substr(text.size() - 3), " 5\n") << text;  // lower bound
 
   ReplacementOracle oracle(db(), five_input_params());
   ASSERT_EQ(oracle.load_cache(path).status, ReplacementOracle::CacheLoadStatus::loaded);
@@ -586,7 +586,7 @@ TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
   EXPECT_EQ(oracle.save_cache(path), 0u);  // clean: the file holds exactly this
   const auto info = oracle.query(f);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->size, 4u);
+  EXPECT_EQ(info->size, 5u);
   EXPECT_EQ(oracle.synthesized_count(), 0u) << "a resumed open entry is no new synthesis";
   EXPECT_EQ(oracle.cache5_hits(), 1u);
   ReplacementOracle cold(db(), five_input_params());

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cec/cec.hpp"
+#include "exact/exact_synthesis.hpp"
 #include "flow/flow.hpp"
 #include "gen/arith.hpp"
 #include "io/io.hpp"
@@ -118,21 +119,22 @@ TEST(ParallelFlowTest, BoundedFiveInputFlowIsThreadCountInvariant) {
   EXPECT_EQ(s1.oracle().sat_conflicts(), s3.oracle().sat_conflicts());
 }
 
-TEST(ParallelFlowTest, SizeBoundNeverChangesThePlan) {
-  // A session whose oracle already knows the unbounded minimum of every
-  // 5-input cut function the TF5 pass can query must rewrite exactly like a
-  // cold session whose queries stop at the cone bound.
-  const auto m = algebra::depth_optimize(gen::make_adder_n(8));
+/// Rewrites `m` with `script` twice: in a cold session, whose queries stop at
+/// the cone bound, and in a session whose oracle already knows the unbounded
+/// minimum of every 5-input cut function the pass can query (cuts within FFRs
+/// when `ffr_mode`).  The two must
+/// produce the same network.  Returns the open entries the cold run left.
+size_t expect_size_bound_keeps_plan(const mig::Mig& m, const std::string& script,
+                                    bool ffr_mode) {
+  const auto pipeline = Pipeline::parse(script);
   auto cold = make_session(1);
-  const auto expected = Pipeline::parse("TF5;size").run(m, cold);
-  ASSERT_GT(cold.oracle().cache_stats().open, 0u) << "no query was cut short";
+  const auto expected = pipeline.run(m, cold);
 
   auto warm = make_session(1);
   cuts::CutEnumerationParams cut_params;
   cut_params.cut_size = 5;
-  const auto partition = ffr::compute_ffrs(m);
-  const auto boundary = ffr::ffr_boundary(partition);
-  cut_params.boundary = &boundary;
+  const auto boundary = ffr::ffr_boundary(ffr::compute_ffrs(m));
+  if (ffr_mode) cut_params.boundary = &boundary;
   const auto cut_sets = cuts::enumerate_cuts(m, cut_params);
   size_t prefilled = 0;
   for (uint32_t v = 0; v < m.num_nodes(); ++v) {
@@ -144,12 +146,30 @@ TEST(ParallelFlowTest, SizeBoundNeverChangesThePlan) {
       ++prefilled;
     }
   }
-  ASSERT_GT(prefilled, 0u);
-  EXPECT_EQ(warm.oracle().cache_stats().open, 0u);
+  EXPECT_GT(prefilled, 0u) << script;
+  EXPECT_EQ(warm.oracle().cache_stats().open, 0u) << script;
   FlowReport report;
-  const auto out = Pipeline::parse("TF5;size").run(m, warm, &report);
-  EXPECT_EQ(to_blif(out), to_blif(expected));
-  EXPECT_EQ(report.oracle_synthesized, 0u);
+  const auto out = pipeline.run(m, warm, &report);
+  EXPECT_EQ(to_blif(out), to_blif(expected)) << script;
+  EXPECT_EQ(report.oracle_synthesized, 0u) << script;
+  return cold.oracle().cache_stats().open;
+}
+
+TEST(ParallelFlowTest, SizeBoundNeverChangesThePlan) {
+  // The size lower bound answers adder8's cut-short TF5 queries without a
+  // search.  30115150 realized by its 5-gate minimum is a query that stops at
+  // the cone bound: its bound (4) admits a 4-gate replacement of the whole
+  // chain, which does not exist, so the entry stays open.  The chain shares a
+  // gate, so only global mode (T5) sees that cut.
+  EXPECT_EQ(expect_size_bound_keeps_plan(algebra::depth_optimize(gen::make_adder_n(8)),
+                                         "TF5;size", true),
+            0u);
+  const auto open_function = exact::synthesize_minimum_mig(
+      tt::TruthTable::from_hex(5, "30115150"), exact::SynthesisOptions{});
+  ASSERT_EQ(open_function.chain.size(), 5u);
+  mig::Mig m;
+  m.create_po(open_function.chain.instantiate(m, m.create_pis(5)));
+  EXPECT_GT(expect_size_bound_keeps_plan(m, "T5;size", false), 0u) << "no query was cut short";
 }
 
 // --- session / script surface ------------------------------------------------
