@@ -117,17 +117,21 @@ class Service {
   /// job: a malformed BLIF fails the job with invalid_network.
   virtual JobId submit(const JobRequest& request) = 0;
 
-  /// Current state.  Throws Error(job_not_found) for unknown ids.
+  /// Current state.  Throws Error(job_not_found) for unknown ids and for
+  /// jobs whose result was already collected.
   virtual JobStatus status(JobId id) = 0;
 
-  /// Blocks until the job is terminal, then returns its result.  Throws
-  /// Error(job_not_found) for unknown ids.
+  /// Blocks until the job is terminal, then hands its result over: the
+  /// service forgets the job, so a result is collected exactly once.  Of
+  /// concurrent callers for one id, one gets the result and the others
+  /// throw.  Throws Error(job_not_found) for unknown ids and for jobs
+  /// whose result was already collected ("result already collected").
   virtual JobResult result(JobId id) = 0;
 
   /// Requests cancellation.  Returns true when the call had an effect (the
   /// job was queued, or running and now flagged to stop at the next pass
   /// boundary); false when the job was already terminal.  Throws
-  /// Error(job_not_found) for unknown ids.
+  /// Error(job_not_found) for unknown ids and for collected jobs.
   virtual bool cancel(JobId id) = 0;
 
   virtual ServiceStats stats() = 0;
@@ -156,9 +160,9 @@ class Service {
 /// are rejected at submit (invalid_request) because they would reconfigure
 /// the engine under concurrent jobs.
 ///
-/// Every job stays stored, with its result, for the service's lifetime; a
-/// job's input BLIF is released as soon as the job has parsed it, so only
-/// results accumulate.
+/// A job stays stored until result() collects it; its input BLIF is
+/// released as soon as the job has parsed it.  A job nobody collects keeps
+/// its result for the service's lifetime.
 class LocalService final : public Service {
  public:
   struct Params {

@@ -28,7 +28,7 @@ enum class ErrorCode : uint32_t {
   invalid_script = 1,   ///< flow script does not parse
   invalid_network = 2,  ///< network (BLIF) does not parse or is unsupported
   invalid_request = 3,  ///< structurally valid pieces, but an unusable request
-  job_not_found = 4,    ///< no job with the given id
+  job_not_found = 4,    ///< no job with the given id (or its result was collected)
 
   // --- job lifecycle ----------------------------------------------------------
   cancelled = 5,                 ///< job cancelled by the client

@@ -83,7 +83,10 @@ struct LocalService::Impl {
     util::MutexLock lock(mutex_);
     auto job = find_locked(id);
     while (!is_terminal(job->state)) done_cv_.wait(lock);
-    return job->result;
+    // Of several callers waiting here, the first to wake collects; the job
+    // is then gone for every later call.
+    if (jobs_.erase(id) == 0) throw collected_error(id);
+    return std::move(job->result);
   }
 
   bool cancel(JobId id) {
@@ -215,7 +218,7 @@ struct LocalService::Impl {
     JobResult res;
     try {
       // Parsed in place and released with this statement: the text is never
-      // read again, but the job stays stored for the service's lifetime.
+      // read again, but the job stays stored until its result is collected.
       const mig::Mig input = io::read_blif(std::exchange(job.request.network_blif, {}));
       if (job.pipeline.uses_oracle() && session_.oracle_if_created() == nullptr) {
         // Lazy oracle/database init is single-threaded by design; take the
@@ -253,10 +256,15 @@ struct LocalService::Impl {
 
   std::shared_ptr<Job> find_locked(JobId id) MIGHTY_REQUIRES(mutex_) {
     const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      throw Error(ErrorCode::job_not_found, "no job " + std::to_string(id));
-    }
-    return it->second;
+    if (it != jobs_.end()) return it->second;
+    // Ids are issued in order and a job leaves jobs_ only when collected.
+    if (id != 0 && id < next_id_) throw collected_error(id);
+    throw Error(ErrorCode::job_not_found, "no job " + std::to_string(id));
+  }
+
+  static Error collected_error(JobId id) {
+    return Error(ErrorCode::job_not_found,
+                 "job " + std::to_string(id) + ": result already collected");
   }
 
   void finalize_locked(Job& job, JobState state, JobResult result) MIGHTY_REQUIRES(mutex_) {

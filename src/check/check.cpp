@@ -134,6 +134,7 @@ const char* code_name(Code code) {
     case Code::fanin_duplicate_index: return "fanin_duplicate_index";
     case Code::fanin_polarity_not_normalized: return "fanin_polarity_not_normalized";
     case Code::terminal_fanin_corrupt: return "terminal_fanin_corrupt";
+    case Code::duplicate_gate: return "duplicate_gate";
     case Code::level_mismatch: return "level_mismatch";
     case Code::fanout_mismatch: return "fanout_mismatch";
     case Code::live_count_mismatch: return "live_count_mismatch";
@@ -253,6 +254,27 @@ CheckReport validate_structure(const MigView& view) {
   return report;
 }
 
+CheckReport validate_strash(const MigView& view) {
+  CheckReport report;
+  std::vector<uint32_t> gates;
+  for (uint32_t g = view.num_pis + 1; g < view.num_nodes(); ++g) gates.push_back(g);
+  const auto key = [&](uint32_t g) {
+    const auto& f = view.fanins[g];
+    return std::array<uint32_t, 3>{f[0].raw(), f[1].raw(), f[2].raw()};
+  };
+  // Stable: of gates with equal fanins, the first created comes first.
+  std::stable_sort(gates.begin(), gates.end(),
+                   [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
+  for (size_t i = 1; i < gates.size(); ++i) {
+    if (key(gates[i]) == key(gates[i - 1])) {
+      report.add(Code::duplicate_gate, gates[i],
+                 "same fanins as gate " + std::to_string(gates[i - 1]) +
+                     " (structural hashing missed it)");
+    }
+  }
+  return report;
+}
+
 CheckReport validate_levels(const MigView& view, const std::vector<uint32_t>& levels) {
   CheckReport report;
   if (levels.size() != view.num_nodes()) {
@@ -296,6 +318,7 @@ CheckReport validate(const mig::Mig& m) {
   CheckReport report = validate_structure(view);
   if (!report.ok()) return report;  // derived data is meaningless on a broken DAG
 
+  report.merge(validate_strash(view));
   report.merge(validate_levels(view, m.compute_levels()));
   report.merge(validate_fanouts(view, m.compute_fanout_counts()));
 

@@ -55,6 +55,8 @@ enum class Code {
   fanin_polarity_not_normalized,  ///< two or more complemented fanins
                                   ///< (self-duality normalization skipped)
   terminal_fanin_corrupt,    ///< constant/PI node carries a non-default fanin
+  duplicate_gate,            ///< two gates with the same canonical fanins
+                             ///< (structural hashing missed one; validate)
   // --- derived-data consistency vs. recomputation (validate) ---
   level_mismatch,       ///< stored/reported level != independent recomputation
   fanout_mismatch,      ///< fanout count != independent recomputation
@@ -142,6 +144,11 @@ struct MigView {
 /// fanins, intact terminals.
 CheckReport validate_structure(const MigView& view);
 
+/// Structural hashing, O(gates log gates): no two gates share the same
+/// canonical fanins, since create_maj returns the existing gate instead.
+/// Requires a view that passes validate_structure (canonical fanins).
+CheckReport validate_strash(const MigView& view);
+
 /// Externally supplied per-node levels versus an independent recomputation
 /// (the LevelTracker discipline: stale levels mean rewriting decisions
 /// compare wrong depths).  `levels` must have one entry per node.
@@ -150,9 +157,10 @@ CheckReport validate_levels(const MigView& view, const std::vector<uint32_t>& le
 /// Externally supplied fanout counts versus an independent recomputation.
 CheckReport validate_fanouts(const MigView& view, const std::vector<uint32_t>& fanouts);
 
-/// Full single-network validation: validate_structure plus the Mig's own
-/// derived data (compute_levels, compute_fanout_counts, count_live_gates)
-/// checked against independent recomputation over the raw view.
+/// Full single-network validation: validate_structure and validate_strash
+/// plus the Mig's own derived data (compute_levels, compute_fanout_counts,
+/// count_live_gates) checked against independent recomputation over the
+/// raw view.
 CheckReport validate(const mig::Mig& m);
 
 /// What the flow's between-pass hook runs: validate_structure only when

@@ -13,10 +13,70 @@ namespace {
 
 using cuts::Cut;
 
-struct CutCost {
-  Cut cut;
+/// A candidate's ranking key: what the ranking compares, plus the
+/// candidate's position, so the sort moves 16 bytes instead of a cut.
+struct RankKey {
   uint32_t arrival = 0;
   double area_flow = 0.0;
+  uint32_t index = 0;
+};
+
+/// What a ranked node costs a cut that uses it as a leaf.
+struct LeafCost {
+  uint32_t arrival = 1;
+  double area_flow = 0.0;  ///< area flow shared over the node's references
+};
+
+/// The distinct cuts merged at one node, in first-occurrence order, with an
+/// open-addressed index over them.  Slots carry a stamp, so clear() is O(1).
+class CutSet {
+public:
+  const std::vector<Cut>& cuts() const { return cuts_; }
+
+  void clear() {
+    cuts_.clear();
+    if (++stamp_ == 0) {  // wrapped: old stamps would read as current
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      stamp_ = 1;
+    }
+  }
+
+  /// Appends `cut` unless an equal cut is already in the set; returns
+  /// whether it was appended.
+  bool insert(const Cut& cut) {
+    if (2 * (cuts_.size() + 1) > slots_.size()) grow();
+    const size_t slot = find(cut);
+    if (slots_[slot].stamp == stamp_) return false;
+    slots_[slot] = {stamp_, static_cast<uint32_t>(cuts_.size())};
+    cuts_.push_back(cut);
+    return true;
+  }
+
+private:
+  struct Slot {
+    uint32_t stamp = 0;
+    uint32_t index = 0;
+  };
+
+  /// The slot holding `cut`, or the free slot where it belongs.
+  size_t find(const Cut& cut) const {
+    uint64_t h = cut.size;
+    for (uint8_t i = 0; i < cut.size; ++i) h = (h ^ cut.leaves[i]) * 0x9e3779b97f4a7c15ull;
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = (h ^ (h >> 32)) & mask;; slot = (slot + 1) & mask) {
+      if (slots_[slot].stamp != stamp_ || cuts_[slots_[slot].index] == cut) return slot;
+    }
+  }
+
+  void grow() {
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), Slot{});
+    stamp_ = 1;
+    for (uint32_t i = 0; i < cuts_.size(); ++i) slots_[find(cuts_[i])] = {stamp_, i};
+  }
+
+  std::vector<Cut> cuts_;
+  std::vector<Slot> slots_;
+  uint32_t stamp_ = 1;
 };
 
 }  // namespace
@@ -54,8 +114,12 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
   }
   auto best_cut = [&](uint32_t v) -> const Cut& { return slots[v * stride + 1]; };
   std::vector<uint32_t> arrival(n, 0);
-  std::vector<double> area_flow(n, 0.0);
-  std::vector<CutCost> candidates;  // reused across nodes and passes
+  // Set when a gate is ranked; the defaults are the terminals' (a leaf
+  // arriving at level 1 whose area is free).
+  std::vector<LeafCost> leaf_cost(n);
+  // Reused across nodes and passes.
+  CutSet candidates;  // distinct three-way merges, in first-occurrence order
+  std::vector<RankKey> keys;
 
   const auto fanout = mig.compute_fanout_counts();
   auto refs = [&](uint32_t v) { return std::max<uint32_t>(1, fanout[v]); };
@@ -122,6 +186,7 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
     for (uint32_t v = 0; v < n; ++v) {
       if (!mig.is_gate(v)) continue;
       candidates.clear();
+      keys.clear();
 
       // Merge fanin cut sets (each fanin contributes its trivial cut plus
       // its ranked cuts).
@@ -134,35 +199,24 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
       const auto set1 = fanin_cuts(f[1]);
       const auto set2 = fanin_cuts(f[2]);
 
-      auto evaluate = [&](const Cut& cut) {
-        CutCost cc;
-        cc.cut = cut;
-        uint32_t max_arrival = 0;
-        double flow = 1.0;
-        for (uint8_t i = 0; i < cut.size; ++i) {
-          const uint32_t leaf = cut.leaves[i];
-          max_arrival = std::max(max_arrival, mig.is_gate(leaf) ? arrival[leaf] + 1 : 1);
-          if (mig.is_gate(leaf)) {
-            flow += area_flow[leaf] / refs(leaf);
-          }
-        }
-        cc.arrival = max_arrival;
-        cc.area_flow = flow;
-        return cc;
-      };
-
       Cut ab;
       Cut abc;
       for (const Cut& c0 : set0) {
         for (const Cut& c1 : set1) {
           if (!cuts::merge_cuts(c0, c1, params.lut_size, ab)) continue;
           for (const Cut& c2 : set2) {
-            if (!cuts::merge_cuts(ab, c2, params.lut_size, abc)) continue;
-            const bool duplicate =
-                std::any_of(candidates.begin(), candidates.end(), [&](const CutCost& c) {
-                  return c.cut.signature == abc.signature && c.cut == abc;
-                });
-            if (!duplicate) candidates.push_back(evaluate(abc));
+            if (!cuts::merge_cuts(ab, c2, params.lut_size, abc) || !candidates.insert(abc)) {
+              continue;
+            }
+            RankKey key;
+            key.area_flow = 1.0;
+            for (uint8_t i = 0; i < abc.size; ++i) {
+              const LeafCost& leaf = leaf_cost[abc.leaves[i]];
+              key.arrival = std::max(key.arrival, leaf.arrival);
+              key.area_flow += leaf.area_flow;
+            }
+            key.index = static_cast<uint32_t>(keys.size());
+            keys.push_back(key);
           }
         }
       }
@@ -177,25 +231,23 @@ MappingResult map_luts(const mig::Mig& mig, const MapParams& params) {
               ? std::numeric_limits<uint32_t>::max()
               : (required[v] == std::numeric_limits<uint32_t>::max() ? prev_arrival[v]
                                                                      : required[v]);
-      std::sort(candidates.begin(), candidates.end(),
-                [&](const CutCost& a, const CutCost& b) {
-                  if (area_mode) {
-                    const bool a_ok = a.arrival <= req;
-                    const bool b_ok = b.arrival <= req;
-                    if (a_ok != b_ok) return a_ok;
-                    if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-                    return a.arrival < b.arrival;
-                  }
-                  if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                  return a.area_flow < b.area_flow;
-                });
-      num_ranked[v] =
-          static_cast<uint32_t>(std::min<size_t>(candidates.size(), params.cut_limit));
+      std::sort(keys.begin(), keys.end(), [&](const RankKey& a, const RankKey& b) {
+        if (area_mode) {
+          const bool a_ok = a.arrival <= req;
+          const bool b_ok = b.arrival <= req;
+          if (a_ok != b_ok) return a_ok;
+          if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
+          return a.arrival < b.arrival;
+        }
+        if (a.arrival != b.arrival) return a.arrival < b.arrival;
+        return a.area_flow < b.area_flow;
+      });
+      num_ranked[v] = static_cast<uint32_t>(std::min<size_t>(keys.size(), params.cut_limit));
       for (uint32_t i = 0; i < num_ranked[v]; ++i) {
-        slots[v * stride + 1 + i] = candidates[i].cut;
+        slots[v * stride + 1 + i] = candidates.cuts()[keys[i].index];
       }
-      arrival[v] = candidates.front().arrival;
-      area_flow[v] = candidates.front().area_flow;
+      arrival[v] = keys.front().arrival;
+      leaf_cost[v] = {arrival[v] + 1, keys.front().area_flow / refs(v)};
     }
 
     // Compute the mapping depth and required times for the next pass.

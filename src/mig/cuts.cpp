@@ -1,8 +1,9 @@
 #include "mig/cuts.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <span>
 
+#include "tt/truth_table.hpp"
 #include "util/assert.hpp"
 
 namespace mighty::cuts {
@@ -18,48 +19,45 @@ bool Cut::subset_of(const Cut& other) const {
   return true;
 }
 
-bool merge_cuts(const Cut& a, const Cut& b, uint32_t k, Cut& out) {
-  // Each leaf sets one signature bit, so the union has at least as many
-  // leaves as the merged signature has bits: more than k bits is an
-  // overflow without looking at the leaves.
-  const uint64_t signature = a.signature | b.signature;
-  if (static_cast<uint32_t>(std::popcount(signature)) > k) return false;
-  out.size = 0;
-  out.signature = signature;
-  uint8_t i = 0;
-  uint8_t j = 0;
-  while (i < a.size || j < b.size) {
-    uint32_t next;
-    if (j == b.size || (i < a.size && a.leaves[i] <= b.leaves[j])) {
-      if (i < a.size && j < b.size && a.leaves[i] == b.leaves[j]) ++j;
-      next = a.leaves[i++];
-    } else {
-      next = b.leaves[j++];
-    }
-    if (out.size == k) return false;
-    out.leaves[out.size++] = next;
-  }
-  return true;
-}
-
 namespace {
 
 /// Inserts `cut` into `set` unless dominated; removes cuts it dominates.
-void insert_cut(std::vector<Cut>& set, const Cut& cut, uint32_t max_cuts) {
+/// Returns whether `cut` was appended.
+bool insert_cut(std::vector<Cut>& set, const Cut& cut, uint32_t max_cuts) {
   for (const Cut& existing : set) {
-    if (existing.subset_of(cut)) return;  // dominated (or duplicate)
+    if (existing.subset_of(cut)) return false;  // dominated (or duplicate)
   }
   std::erase_if(set, [&](const Cut& existing) { return cut.subset_of(existing); });
-  if (max_cuts != 0 && set.size() >= max_cuts) return;
+  if (max_cuts != 0 && set.size() >= max_cuts) return false;
   set.push_back(cut);
+  return true;
 }
+
+/// The constant node's only cut: paths to it are exempt.
+const Cut kEmptyCut{};
 
 Cut trivial_cut(uint32_t node) {
   Cut c;
   c.size = 1;
   c.leaves[0] = node;
   c.signature = Cut::hash_leaf(node);
+  c.function = tt::TruthTable::var_mask(0);
   return c;
+}
+
+/// The function of fanin edge `s` with cut `sub` over the leaves of `cut`
+/// (a superset of sub's): each variable moves to its leaf's position, from
+/// the last down, so every swap lands on a variable the function ignores.
+uint64_t fanin_function(mig::Signal s, const Cut& sub, const Cut& cut) {
+  tt::TruthTable f(tt::TruthTable::max_vars, sub.function);
+  uint8_t j = cut.size;
+  for (uint8_t i = sub.size; i-- > 0;) {
+    do {
+      --j;
+    } while (cut.leaves[j] != sub.leaves[i]);
+    f = f.swap_vars(i, j);
+  }
+  return s.is_complemented() ? ~f.bits() : f.bits();
 }
 
 /// The merge kernel shared by global and shard-scoped enumeration: builds
@@ -73,25 +71,33 @@ void build_node_cuts(const mig::Mig& mig, const CutEnumerationParams& params,
                      uint32_t n, ForcedLeaf&& forced_leaf,
                      const std::vector<std::vector<Cut>>& sets,
                      std::vector<Cut>& out) {
-  auto fanin_set = [&](mig::Signal s) -> std::vector<Cut> {
-    const uint32_t f = s.index();
-    if (mig.is_constant(f)) return {Cut{}};  // empty cut: paths exempt
-    if (forced_leaf(f)) return {trivial_cut(f)};
-    return sets[f];
-  };
   const auto& f = mig.fanins(n);
-  const auto set0 = fanin_set(f[0]);
-  const auto set1 = fanin_set(f[1]);
-  const auto set2 = fanin_set(f[2]);
+  std::array<Cut, 3> trivial;
+  std::array<std::span<const Cut>, 3> fanin_sets;
+  for (uint32_t i = 0; i < 3; ++i) {
+    const uint32_t node = f[i].index();
+    if (mig.is_constant(node)) {
+      fanin_sets[i] = {&kEmptyCut, 1};
+    } else if (forced_leaf(node)) {
+      trivial[i] = trivial_cut(node);
+      fanin_sets[i] = {&trivial[i], 1};
+    } else {
+      fanin_sets[i] = sets[node];
+    }
+  }
 
   Cut ab;
   Cut abc;
-  for (const Cut& c0 : set0) {
-    for (const Cut& c1 : set1) {
+  for (const Cut& c0 : fanin_sets[0]) {
+    for (const Cut& c1 : fanin_sets[1]) {
       if (!merge_cuts(c0, c1, params.cut_size, ab)) continue;
-      for (const Cut& c2 : set2) {
+      for (const Cut& c2 : fanin_sets[2]) {
         if (!merge_cuts(ab, c2, params.cut_size, abc)) continue;
-        insert_cut(out, abc, params.max_cuts);
+        if (!insert_cut(out, abc, params.max_cuts)) continue;
+        const uint64_t x = fanin_function(f[0], c0, abc);
+        const uint64_t y = fanin_function(f[1], c1, abc);
+        const uint64_t z = fanin_function(f[2], c2, abc);
+        out.back().function = (x & y) | (x & z) | (y & z);
       }
     }
   }
@@ -107,7 +113,7 @@ std::vector<std::vector<Cut>> enumerate_cuts(const mig::Mig& mig,
 
   // The constant node contributes the empty cut, so that paths to it are
   // exempt from the covering requirement.
-  sets[mig::Mig::constant_node] = {Cut{}};
+  sets[mig::Mig::constant_node] = {kEmptyCut};
 
   auto boundary_leaf = [&](uint32_t f) {
     return params.boundary != nullptr && f < params.boundary->size() &&

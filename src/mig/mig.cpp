@@ -50,14 +50,37 @@ Signal Mig::create_maj(Signal a, Signal b, Signal c) {
     output_complemented = true;
   }
 
-  const FaninKey key{{a.raw(), b.raw(), c.raw()}};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return Signal(it->second, output_complemented);
-  }
+  // Grow before probing, so the slot found below stays valid for the insert.
+  if (2 * (size_t{num_gates()} + 1) > strash_.size()) grow_strash();
+  const size_t slot = strash_slot(a, b, c);
+  if (strash_[slot] != 0) return Signal(strash_[slot], output_complemented);
   nodes_.push_back(Node{{a, b, c}});
   const uint32_t index = num_nodes() - 1;
-  strash_.emplace(key, index);
+  strash_[slot] = index;
   return Signal(index, output_complemented);
+}
+
+size_t Mig::strash_slot(Signal a, Signal b, Signal c) const {
+  uint64_t h = ((uint64_t{a.raw()} << 32) | b.raw()) ^
+               (uint64_t{c.raw()} * 0x9e3779b97f4a7c15ull);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  const size_t mask = strash_.size() - 1;
+  for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
+    const uint32_t gate = strash_[slot];
+    if (gate == 0) return slot;
+    const auto& f = nodes_[gate].fanin;
+    if (f[0] == a && f[1] == b && f[2] == c) return slot;
+  }
+}
+
+void Mig::grow_strash() {
+  strash_.assign(std::max<size_t>(16, 2 * strash_.size()), 0);
+  for (uint32_t g = num_pis_ + 1; g < num_nodes(); ++g) {
+    const auto& f = nodes_[g].fanin;
+    strash_[strash_slot(f[0], f[1], f[2])] = g;
+  }
 }
 
 Signal Mig::create_xor(Signal a, Signal b) {

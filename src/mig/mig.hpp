@@ -1,10 +1,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 /// \file mig.hpp
@@ -130,25 +129,20 @@ private:
     std::array<Signal, 3> fanin;
   };
 
-  struct FaninKey {
-    std::array<uint32_t, 3> raw;
-    bool operator==(const FaninKey&) const = default;
-  };
-  struct FaninKeyHash {
-    size_t operator()(const FaninKey& k) const {
-      uint64_t h = 0xcbf29ce484222325ull;
-      for (const uint32_t v : k.raw) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
+  /// Slot of the structural hash where gate (a, b, c) is stored, or the
+  /// empty slot where it belongs.  Requires a non-empty table.
+  size_t strash_slot(Signal a, Signal b, Signal c) const;
+  /// Doubles the table (or creates it) and re-inserts every gate.
+  void grow_strash();
 
   std::vector<Node> nodes_;
   std::vector<Signal> outputs_;
   uint32_t num_pis_ = 0;
-  std::unordered_map<FaninKey, uint32_t, FaninKeyHash> strash_;
+  /// Structural hash: an open-addressed, linearly probed table of gate
+  /// indices whose keys are read back from `nodes_`.  Slot value 0 means
+  /// empty (node 0 is the constant, never a gate).  The size is a power of
+  /// two, at least twice the gate count.
+  std::vector<uint32_t> strash_;
 };
 
 }  // namespace mighty::mig

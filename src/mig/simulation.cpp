@@ -2,6 +2,7 @@
 
 #include "util/assert.hpp"
 #include <stdexcept>
+#include <unordered_map>
 
 namespace mighty::mig {
 

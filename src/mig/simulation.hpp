@@ -10,7 +10,7 @@
 /// \brief Bit-parallel simulation of MIGs.
 ///
 /// Two flavours: full truth-table simulation for networks with at most six
-/// inputs (used by the exact-synthesis tests and the cut-function machinery),
+/// inputs (used by the exact-synthesis tests and as the cut-function reference),
 /// and 64-pattern word simulation for large networks (used by the
 /// equivalence checker and the generators' validation tests).
 
@@ -36,7 +36,8 @@ std::vector<tt::TruthTable> output_truth_tables(const Mig& mig);
 /// The local function of `root` expressed over the given leaves (at most six).
 /// Every path from `root` to a terminal must pass through a leaf (i.e.
 /// (root, leaves) is a cut, paper Sec. II-C); paths to the constant node are
-/// exempt.
+/// exempt.  Cut enumeration computes the same function while merging
+/// (cuts::Cut::function); this is the reference it is tested against.
 tt::TruthTable simulate_cut(const Mig& mig, uint32_t root,
                             const std::vector<uint32_t>& leaves);
 

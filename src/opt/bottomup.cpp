@@ -1,11 +1,12 @@
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "mig/ffr.hpp"
 #include "mig/shard.hpp"
-#include "mig/simulation.hpp"
 #include "opt/oracle.hpp"
 #include "opt/rewrite.hpp"
+#include "tt/truth_table.hpp"
 #include "util/thread_pool.hpp"
 
 /// Bottom-up functional hashing (paper Algorithm 2): dynamic programming in
@@ -86,28 +87,30 @@ void expand_node(const mig::Mig& mig, ReplacementOracle& oracle,
     insert_candidate(list, base, params.max_candidates);
   }
 
+  // Reused across cuts and combinations.
+  std::array<uint32_t, cuts::Cut::max_size> radix{};
+  std::array<const Candidate*, cuts::Cut::max_size> chosen{};
+  std::vector<mig::Signal> leaf_signals;
   for (const auto& cut : cut_set) {
     if (cut.size == 1 && cut.leaves[0] == v) continue;
-    const auto leaves = cut.leaf_vector();
+    const auto& leaves = cut.leaves;
     ++counters.cuts_evaluated;
-    const auto f = mig::simulate_cut(mig, v, leaves);
+    const tt::TruthTable f(cut.size, cut.function);
     const auto info = oracle.query(f, params.tally);
     if (!info) continue;
 
     // Iterate (capped) combinations of leaf candidates in mixed radix.
-    std::vector<uint32_t> radix(leaves.size());
     uint64_t total = 1;
-    for (size_t i = 0; i < leaves.size(); ++i) {
+    for (size_t i = 0; i < cut.size; ++i) {
       radix[i] = static_cast<uint32_t>(cand(leaves[i]).size());
       total *= radix[i];
     }
     total = std::min<uint64_t>(total, params.max_combinations);
+    leaf_signals.resize(cut.size);
     for (uint64_t combo = 0; combo < total; ++combo) {
       uint64_t rem = combo;
-      std::vector<const Candidate*> chosen(leaves.size());
-      std::vector<mig::Signal> leaf_signals(leaves.size());
       uint32_t size = info->size;
-      for (size_t i = 0; i < leaves.size(); ++i) {
+      for (size_t i = 0; i < cut.size; ++i) {
         chosen[i] = &cand(leaves[i])[rem % radix[i]];
         rem /= radix[i];
         leaf_signals[i] = chosen[i]->sig;
@@ -115,7 +118,7 @@ void expand_node(const mig::Mig& mig, ReplacementOracle& oracle,
       }
       // Depth estimate through the replacement's input-to-output paths.
       uint32_t depth = 0;
-      for (size_t lv = 0; lv < leaves.size(); ++lv) {
+      for (size_t lv = 0; lv < cut.size; ++lv) {
         if (info->input_depths[lv] < 0) continue;
         depth = std::max(depth, chosen[lv]->depth +
                                     static_cast<uint32_t>(info->input_depths[lv]));

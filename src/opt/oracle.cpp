@@ -169,11 +169,11 @@ std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthT
     return info;
   };
 
-  if (f.support_size() <= 4) {
-    std::vector<uint32_t> old_vars;
-    const auto g = f.shrink_to_support(old_vars).extend(4);
+  std::vector<uint32_t> old_vars;
+  const auto g = f.shrink_to_support(old_vars);
+  if (g.num_vars() <= 4) {
     bump(answered_, tally, &OracleTally::answered);
-    return describe(db_.lookup(g).class_chain(), old_vars);
+    return describe(db_.lookup(g.extend(4)).class_chain(), old_vars);
   }
 
   if (!params_.enable_five_input || f.num_vars() > 5) return std::nullopt;
@@ -399,14 +399,14 @@ size_t ReplacementOracle::save_cache(const std::string& path) {
 mig::Signal ReplacementOracle::instantiate(const tt::TruthTable& f, mig::Mig& mig,
                                            const std::vector<mig::Signal>& leaves,
                                            OracleTally* tally) {
-  if (f.support_size() <= 4) {
-    std::vector<uint32_t> old_vars;
-    const auto g = f.shrink_to_support(old_vars).extend(4);
+  std::vector<uint32_t> old_vars;
+  const auto g = f.shrink_to_support(old_vars);
+  if (g.num_vars() <= 4) {
     std::vector<mig::Signal> mapped(4, mig.get_constant(false));
     for (uint32_t i = 0; i < old_vars.size(); ++i) {
       mapped[i] = leaves[old_vars[i]];
     }
-    return db_.instantiate(g, mig, mapped);
+    return db_.instantiate(g.extend(4), mig, mapped);
   }
   const auto chain = five_input_chain(f, kUnbounded, tally);
   if (chain.chain == nullptr) {

@@ -134,23 +134,19 @@ cuts::CutEnumerationParams rewrite_cut_params(const RewriteParams& params,
 }
 
 std::vector<int> chain_input_depths(const exact::MigChain& chain) {
-  std::vector<int> result(chain.num_vars, -1);
+  // Longest path from every reference to the output, walking the steps in
+  // reverse topological order; an input's entry is its depth.
   const uint32_t base = 1 + chain.num_vars;
-  for (uint32_t v = 0; v < chain.num_vars; ++v) {
-    // Longest path from input v through the steps to the output reference.
-    std::vector<int> dist(base + chain.steps.size(), -1);
-    dist[1 + v] = 0;
-    for (uint32_t m = 0; m < chain.steps.size(); ++m) {
-      int best = -1;
-      for (const exact::RefLit l : chain.steps[m].fanin) {
-        const uint32_t ref = exact::ref_of(l);
-        if (dist[ref] >= 0) best = std::max(best, dist[ref] + 1);
-      }
-      dist[base + m] = best;
+  std::vector<int> dist(base + chain.steps.size(), -1);
+  dist[exact::ref_of(chain.output)] = 0;
+  for (uint32_t m = chain.size(); m-- > 0;) {
+    if (dist[base + m] < 0) continue;
+    for (const exact::RefLit l : chain.steps[m].fanin) {
+      int& d = dist[exact::ref_of(l)];
+      d = std::max(d, dist[base + m] + 1);
     }
-    result[v] = dist[exact::ref_of(chain.output)];
   }
-  return result;
+  return std::vector<int>(dist.begin() + 1, dist.begin() + base);
 }
 
 }  // namespace mighty::opt

@@ -2,9 +2,9 @@
 
 #include "mig/ffr.hpp"
 #include "mig/shard.hpp"
-#include "mig/simulation.hpp"
 #include "opt/oracle.hpp"
 #include "opt/rewrite.hpp"
+#include "tt/truth_table.hpp"
 #include "util/thread_pool.hpp"
 
 /// Top-down functional hashing (paper Algorithm 1): starting from the
@@ -59,7 +59,7 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
     // the plan: whatever it leaves out would fail the gain test anyway.
     const int max_size = static_cast<int>(cone.size()) - best_gain - 1;
     if (max_size < 0) continue;
-    const auto f = mig::simulate_cut(mig, v, leaves);
+    const tt::TruthTable f(cut.size, cut.function);
     const auto info = oracle.query(f, params.tally, static_cast<uint32_t>(max_size));
     if (!info) continue;
     const int gain = static_cast<int>(cone.size()) - static_cast<int>(info->size);

@@ -12,8 +12,8 @@
 /// front end (the shell, a batch driver) switches between "optimize here"
 /// and "optimize on the warm daemon" by swapping one pointer.  Calls are
 /// synchronous request/reply roundtrips serialized on one connection;
-/// result() blocks server-side until the job is terminal, exactly like the
-/// local call.  An ERROR reply is rethrown as api::Error with the code the
+/// result() blocks server-side until the job is terminal and hands the
+/// result over, exactly like the local call.  An ERROR reply is rethrown as api::Error with the code the
 /// server sent; a vanished server surfaces as connection_lost.
 
 namespace mighty::serve {

@@ -5,21 +5,6 @@
 
 namespace mighty::tt {
 
-TruthTable TruthTable::swap_vars(uint32_t a, uint32_t b) const {
-  MIGHTY_ASSERT(a < num_vars_ && b < num_vars_);
-  if (a == b) return *this;
-  TruthTable result(num_vars_);
-  for (uint32_t m = 0; m < num_bits(); ++m) {
-    uint32_t src = m;
-    const bool bit_a = (m >> a) & 1;
-    const bool bit_b = (m >> b) & 1;
-    src &= ~((1u << a) | (1u << b));
-    src |= (uint32_t{bit_b} << a) | (uint32_t{bit_a} << b);
-    result.set_bit(m, get_bit(src));
-  }
-  return result;
-}
-
 TruthTable TruthTable::permute(const std::array<uint8_t, max_vars>& perm) const {
   TruthTable result(num_vars_);
   for (uint32_t m = 0; m < num_bits(); ++m) {
@@ -44,19 +29,15 @@ TruthTable TruthTable::extend(uint32_t new_num_vars) const {
 
 TruthTable TruthTable::shrink_to_support(std::vector<uint32_t>& old_vars) const {
   old_vars.clear();
+  TruthTable moved = *this;
   for (uint32_t v = 0; v < num_vars_; ++v) {
-    if (depends_on(v)) old_vars.push_back(v);
+    if (!depends_on(v)) continue;
+    // Variables below old_vars.size() hold the support found so far, and
+    // the one at old_vars.size() is irrelevant: the swap moves v onto it.
+    moved = moved.swap_vars(static_cast<uint32_t>(old_vars.size()), v);
+    old_vars.push_back(v);
   }
-  const auto k = static_cast<uint32_t>(old_vars.size());
-  TruthTable result(k);
-  for (uint32_t m = 0; m < result.num_bits(); ++m) {
-    uint32_t src = 0;
-    for (uint32_t v = 0; v < k; ++v) {
-      if ((m >> v) & 1) src |= 1u << old_vars[v];
-    }
-    result.set_bit(m, get_bit(src));
-  }
-  return result;
+  return TruthTable(static_cast<uint32_t>(old_vars.size()), moved.bits_);
 }
 
 std::string TruthTable::to_hex() const {

@@ -4,6 +4,7 @@
 #include "util/assert.hpp"
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 /// \file truth_table.hpp
@@ -146,8 +147,17 @@ public:
     return TruthTable(num_vars_, ((bits_ & m) >> shift) | ((bits_ & ~m) << shift));
   }
 
-  /// Exchanges input variables `a` and `b`.
-  TruthTable swap_vars(uint32_t a, uint32_t b) const;
+  /// Exchanges input variables `a` and `b` (one delta swap on the word).
+  constexpr TruthTable swap_vars(uint32_t a, uint32_t b) const {
+    MIGHTY_ASSERT(a < num_vars_ && b < num_vars_);
+    if (a == b) return *this;
+    if (b < a) std::swap(a, b);
+    // Bits with x_a = 1, x_b = 0 trade places with those `shift` above them.
+    const uint32_t shift = (1u << b) - (1u << a);
+    const uint64_t low = var_mask(a) & ~var_mask(b);
+    return TruthTable(num_vars_, (bits_ & ~(low | (low << shift))) |
+                                     ((bits_ & low) << shift) | ((bits_ >> shift) & low));
+  }
 
   /// Applies a full input permutation: in the result, variable `perm[i]`
   /// plays the role of original variable `i`; i.e.

@@ -14,9 +14,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/arith.hpp"
@@ -42,6 +45,27 @@ JobRequest request_for(const mig::Mig& m, const std::string& script) {
   return request;
 }
 
+/// Runs `call` and expects it to throw Error(job_not_found).
+template <typename Call>
+void expect_not_found(Call&& call) {
+  try {
+    call();
+    FAIL() << "job id accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::job_not_found);
+  }
+}
+
+/// Polls status() until the job is terminal and returns that state, so a
+/// test can inspect a finished job before collecting its result.
+JobState wait_terminal(Service& service, JobId id) {
+  for (;;) {
+    const JobState state = service.status(id).state;
+    if (is_terminal(state)) return state;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 /// A script slow enough that jobs submitted behind it are still queued when
 /// we act on them (each repetition walks the whole network; the multiplier
 /// gives it thousands of gates to chew on).
@@ -53,10 +77,11 @@ TEST(ApiTest, SubmitAndResultRoundTrip) {
   LocalService service;
   const auto m = gen::make_adder_n(8);
   const JobId id = service.submit(request_for(m, "size"));
+  EXPECT_EQ(wait_terminal(service, id), JobState::done);
+  EXPECT_FALSE(service.cancel(id));
   const JobResult result = service.result(id);
 
   ASSERT_EQ(result.code, ErrorCode::ok) << result.message;
-  EXPECT_EQ(service.status(id).state, JobState::done);
   EXPECT_EQ(result.report.passes.size(), 1u);
   EXPECT_GT(result.report.size_before, 0u);
   EXPECT_LE(result.report.size_after, result.report.size_before);
@@ -65,6 +90,11 @@ TEST(ApiTest, SubmitAndResultRoundTrip) {
   const auto optimized = io::read_blif(result.network_blif);
   EXPECT_EQ(optimized.num_pis(), m.num_pis());
   EXPECT_EQ(optimized.num_pos(), m.num_pos());
+
+  // Collecting hands the result over: the job is gone.
+  expect_not_found([&] { service.status(id); });
+  expect_not_found([&] { service.result(id); });
+  expect_not_found([&] { service.cancel(id); });
 }
 
 TEST(ApiTest, ResultsAreDeterministic) {
@@ -134,14 +164,6 @@ TEST(ApiTest, WallBudgetExceeded) {
 
 TEST(ApiTest, UnknownJobIdsThrowEverywhere) {
   LocalService service;
-  const auto expect_not_found = [](auto&& call) {
-    try {
-      call();
-      FAIL() << "unknown job id accepted";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::job_not_found);
-    }
-  };
   expect_not_found([&] { service.status(12345); });
   expect_not_found([&] { service.result(12345); });
   expect_not_found([&] { service.cancel(12345); });
@@ -150,10 +172,54 @@ TEST(ApiTest, UnknownJobIdsThrowEverywhere) {
 TEST(ApiTest, CancelAfterCompletionReturnsFalse) {
   LocalService service;
   const JobId id = service.submit(request_for(gen::make_adder_n(4), "size"));
-  ASSERT_EQ(service.result(id).code, ErrorCode::ok);
+  ASSERT_EQ(wait_terminal(service, id), JobState::done);
   EXPECT_FALSE(service.cancel(id));
   // The terminal result is unchanged by the attempt.
+  EXPECT_EQ(service.status(id).state, JobState::done);
   EXPECT_EQ(service.result(id).code, ErrorCode::ok);
+}
+
+TEST(ApiTest, CollectedJobsAreForgotten) {
+  LocalService service;
+  std::vector<JobId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(service.submit(request_for(gen::make_adder_n(4), "size")));
+  }
+  for (const JobId id : ids) EXPECT_EQ(service.result(id).code, ErrorCode::ok);
+  for (const JobId id : ids) {
+    expect_not_found([&] { service.status(id); });
+    expect_not_found([&] { service.result(id); });
+    expect_not_found([&] { service.cancel(id); });
+  }
+  try {
+    service.status(ids.front());
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("already collected"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(service.stats().completed, ids.size());
+}
+
+TEST(ApiTest, ConcurrentCollectorsGetTheResultOnce) {
+  LocalService service;
+  // Both collectors start while the job still runs, so both wait.
+  const JobId id = service.submit(slow_request());
+  std::atomic<int> collected{0};
+  std::atomic<int> not_found{0};
+  auto collect = [&] {
+    try {
+      if (service.result(id).code == ErrorCode::ok) ++collected;
+    } catch (const Error& e) {
+      if (e.code() == ErrorCode::job_not_found) ++not_found;
+    }
+  };
+  std::thread first(collect);
+  std::thread second(collect);
+  first.join();
+  second.join();
+  EXPECT_EQ(collected.load(), 1);
+  EXPECT_EQ(not_found.load(), 1);
+  expect_not_found([&] { service.status(id); });
 }
 
 TEST(ApiTest, CancelQueuedAndRunningJobs) {
@@ -162,9 +228,9 @@ TEST(ApiTest, CancelQueuedAndRunningJobs) {
   const JobId queued = service.submit(request_for(gen::make_adder_n(4), "size"));
 
   EXPECT_TRUE(service.cancel(queued));
+  EXPECT_EQ(service.status(queued).state, JobState::cancelled);
   const JobResult queued_result = service.result(queued);
   EXPECT_EQ(queued_result.code, ErrorCode::cancelled);
-  EXPECT_EQ(service.status(queued).state, JobState::cancelled);
 
   EXPECT_TRUE(service.cancel(running));
   const JobResult running_result = service.result(running);

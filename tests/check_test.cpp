@@ -121,6 +121,17 @@ TEST(CheckStructureTest, TerminalFaninCorrupt) {
   EXPECT_EQ(report.find(Code::terminal_fanin_corrupt)->node, 2u);
 }
 
+TEST(CheckStructureTest, DuplicateGate) {
+  auto view = MigView::of(two_region_mig());
+  EXPECT_TRUE(validate_strash(view).ok());
+  view.fanins[5] = view.fanins[4];  // g2 now repeats g1's fanins
+  EXPECT_TRUE(validate_structure(view).ok());  // still a well-formed DAG
+  const auto report = validate_strash(view);
+  ASSERT_TRUE(report.has(Code::duplicate_gate)) << report.summary();
+  EXPECT_EQ(report.find(Code::duplicate_gate)->node, 5u);
+  EXPECT_EQ(report.num_errors(), 1u);
+}
+
 TEST(CheckStructureTest, PoTargetOutOfRange) {
   auto view = MigView::of(two_region_mig());
   view.outputs[1] = mig::Signal(77, false);

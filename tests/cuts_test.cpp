@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "gen/arith.hpp"
 #include "mig/ffr.hpp"
+#include "mig/shard.hpp"
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
 
@@ -135,6 +138,69 @@ TEST(CutsTest, EveryCutFunctionIsConsistent) {
         }
         EXPECT_EQ(composed, node_tts[n]) << "seed " << seed << " node " << n;
       }
+    }
+  }
+}
+
+TEST(CutsTest, CutFunctionsMatchSimulation) {
+  // Random networks draw fanins from the constant and from complemented
+  // signals; the adder adds real arithmetic structure.
+  std::vector<mig::Mig> nets;
+  for (uint32_t seed = 0; seed < 6; ++seed) {
+    nets.push_back(testutil::random_mig(7, 60, 4, 2000 + seed));
+  }
+  nets.push_back(gen::make_adder_n(4));
+  uint64_t checked = 0;
+  uint64_t constant_fanins = 0;
+  uint64_t complemented_fanins = 0;
+  for (const auto& m : nets) {
+    for (uint32_t n = 0; n < m.num_nodes(); ++n) {
+      if (!m.is_gate(n)) continue;
+      for (const mig::Signal f : m.fanins(n)) {
+        constant_fanins += m.is_constant(f.index()) ? 1 : 0;
+        complemented_fanins += f.is_complemented() ? 1 : 0;
+      }
+    }
+    const auto boundary = ffr::ffr_boundary(ffr::compute_ffrs(m));
+    for (const uint32_t k : {4u, 5u, 6u}) {
+      for (const std::vector<bool>* mask : {static_cast<const std::vector<bool>*>(nullptr),
+                                            &boundary}) {
+        const auto sets = enumerate_cuts(m, {.cut_size = k, .boundary = mask});
+        for (uint32_t n = 0; n < m.num_nodes(); ++n) {
+          for (const auto& cut : sets[n]) {
+            const tt::TruthTable f(cut.size, cut.function);
+            ASSERT_EQ(f, mig::simulate_cut(m, n, cut.leaf_vector()))
+                << "k " << k << " node " << n << (mask ? " ffr" : " global");
+            // Variables past the leaves are irrelevant in the stored word.
+            ASSERT_EQ(tt::TruthTable(tt::TruthTable::max_vars, cut.function),
+                      f.extend(tt::TruthTable::max_vars));
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(constant_fanins, 0u);
+  EXPECT_GT(complemented_fanins, 0u);
+  EXPECT_GT(checked, 10000u);
+}
+
+TEST(CutsTest, ScopedCutsAndFunctionsMatchGlobalOnes) {
+  const auto m = gen::make_adder_n(6);
+  const auto partition = ffr::compute_ffrs(m);
+  const auto boundary = ffr::ffr_boundary(partition);
+  const CutEnumerationParams params{.cut_size = 5, .boundary = &boundary};
+  const auto global = enumerate_cuts(m, params);
+  std::vector<std::vector<Cut>> scoped(m.num_nodes());
+  for (const auto& shard : shard::plan_ffr_shards(m, partition, 3).shards) {
+    enumerate_cuts_scoped(m, params, shard.nodes, scoped);
+  }
+  for (uint32_t n = 0; n < m.num_nodes(); ++n) {
+    if (scoped[n].empty()) continue;  // not in any shard (PIs, dead gates)
+    ASSERT_EQ(scoped[n].size(), global[n].size()) << n;
+    for (size_t i = 0; i < scoped[n].size(); ++i) {
+      EXPECT_EQ(scoped[n][i], global[n][i]) << n;
+      EXPECT_EQ(scoped[n][i].function, global[n][i].function) << n;
     }
   }
 }

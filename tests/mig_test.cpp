@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <vector>
 
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
@@ -74,6 +76,56 @@ TEST(MigTest, StructuralHashingSharesNodes) {
   EXPECT_EQ(g1, g2);
   EXPECT_EQ(g1, g3);
   EXPECT_EQ(m.num_gates(), 1u);
+}
+
+TEST(MigTest, StructuralHashSurvivesGrowthCopyAndMove) {
+  // Enough gates to grow the flat hash table many times over.
+  std::mt19937 rng(42);
+  Mig m;
+  std::vector<Signal> pool = m.create_pis(32);
+  struct Made {
+    std::array<Signal, 3> fanins;
+    Signal result;
+  };
+  std::vector<Made> made;
+  while (m.num_gates() < 100'000 + 5'000) {
+    auto pick = [&] {
+      const Signal s = pool[rng() % pool.size()];
+      return (rng() & 1) != 0 ? !s : s;
+    };
+    const std::array<Signal, 3> f{pick(), pick(), pick()};
+    const uint32_t before = m.num_gates();
+    const Signal r = m.create_maj(f[0], f[1], f[2]);
+    if (m.num_gates() == before) continue;  // absorbed by a trivial rule or the hash
+    made.push_back({f, r});
+    pool.push_back(r);
+  }
+
+  // Every gate is found again under permuted and complemented fanins.
+  auto expect_found = [&](Mig& net) {
+    const uint32_t gates = net.num_gates();
+    for (const Made& g : made) {
+      const auto& [a, b, c] = g.fanins;
+      EXPECT_EQ(net.create_maj(c, a, b), g.result);
+      EXPECT_EQ(net.create_maj(b, c, a), g.result);
+      EXPECT_EQ(net.create_maj(!a, !b, !c), !g.result);
+      EXPECT_EQ(net.create_maj(!c, !b, !a), !g.result);
+    }
+    EXPECT_EQ(net.num_gates(), gates);
+  };
+  expect_found(m);
+
+  Mig copy = m;
+  expect_found(copy);
+  // The copy owns its table: a gate added there is new to it alone.
+  const Signal fresh = copy.create_maj(made[0].result, made[1].result, made[2].result);
+  EXPECT_EQ(copy.num_gates(), m.num_gates() + 1);
+  EXPECT_EQ(copy.create_maj(made[2].result, made[0].result, made[1].result), fresh);
+
+  Mig moved = std::move(copy);
+  expect_found(moved);
+  EXPECT_EQ(moved.create_maj(made[1].result, made[2].result, made[0].result), fresh);
+  EXPECT_EQ(moved.num_gates(), m.num_gates() + 1);
 }
 
 TEST(MigTest, SelfDualityNormalization) {

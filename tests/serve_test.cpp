@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
@@ -168,9 +170,27 @@ TEST(ServeTest, StatusCancelAndErrorsOverTheWire) {
   io::write_blif(blif, gen::make_adder_n(8));
   request.network_blif = blif.str();
   const api::JobId id = client.submit(request);
-  ASSERT_EQ(client.result(id).code, ErrorCode::ok);
-  EXPECT_EQ(client.status(id).state, api::JobState::done);
+  api::JobState state = client.status(id).state;
+  while (!api::is_terminal(state)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    state = client.status(id).state;
+  }
+  EXPECT_EQ(state, api::JobState::done);
   EXPECT_FALSE(client.cancel(id));
+  ASSERT_EQ(client.result(id).code, ErrorCode::ok);
+
+  // RESULT handed the job over: every later call for its id is an error.
+  const auto expect_not_found = [](auto&& call) {
+    try {
+      call();
+      FAIL() << "collected job still answers";
+    } catch (const api::Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::job_not_found);
+    }
+  };
+  expect_not_found([&] { client.status(id); });
+  expect_not_found([&] { client.result(id); });
+  expect_not_found([&] { client.cancel(id); });
 
   // Server-side exceptions arrive as coded errors, connection intact.
   try {
@@ -193,7 +213,7 @@ TEST(ServeTest, StatusCancelAndErrorsOverTheWire) {
   } catch (const api::Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::invalid_script);
   }
-  // The connection survived all three errors.
+  // The connection survived every error.
   EXPECT_EQ(client.stats().completed, 1u);
 
   // Cache management is the daemon's own business.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
+#include <vector>
 
 namespace mighty::tt {
 namespace {
@@ -136,6 +139,25 @@ TEST(TruthTableTest, SwapVarsMatchesPointwiseDefinition) {
   }
 }
 
+TEST(TruthTableTest, SwapVarsMatchesPointwiseDefinitionOnEverySize) {
+  std::mt19937_64 rng(23);
+  for (uint32_t n = 1; n <= TruthTable::max_vars; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const TruthTable f(n, rng());
+      for (uint32_t a = 0; a < n; ++a) {
+        for (uint32_t b = 0; b < n; ++b) {
+          const auto g = f.swap_vars(a, b);
+          for (uint32_t m = 0; m < f.num_bits(); ++m) {
+            uint32_t src = m & ~((1u << a) | (1u << b));
+            src |= (((m >> a) & 1u) << b) | (((m >> b) & 1u) << a);
+            ASSERT_EQ(g.get_bit(m), f.get_bit(src)) << n << " " << a << " " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(TruthTableTest, PermuteIdentity) {
   std::mt19937 rng(14);
   const TruthTable f(4, rng());
@@ -167,6 +189,54 @@ TEST(TruthTableTest, ShrinkToSupport) {
   EXPECT_EQ(g.num_vars(), 2u);
   EXPECT_EQ(old_vars, (std::vector<uint32_t>{1, 3}));
   EXPECT_EQ(g, TruthTable::projection(2, 0) & TruthTable::projection(2, 1));
+}
+
+/// shrink_to_support by definition: one bit at a time.
+TruthTable shrink_reference(const TruthTable& f, std::vector<uint32_t>& old_vars) {
+  old_vars.clear();
+  for (uint32_t v = 0; v < f.num_vars(); ++v) {
+    if (f.depends_on(v)) old_vars.push_back(v);
+  }
+  TruthTable result(static_cast<uint32_t>(old_vars.size()));
+  for (uint32_t m = 0; m < result.num_bits(); ++m) {
+    uint32_t src = 0;
+    for (uint32_t v = 0; v < old_vars.size(); ++v) {
+      if ((m >> v) & 1) src |= 1u << old_vars[v];
+    }
+    result.set_bit(m, f.get_bit(src));
+  }
+  return result;
+}
+
+TEST(TruthTableTest, ShrinkToSupportMatchesReferenceOnAllFourVariableFunctions) {
+  std::vector<uint32_t> vars;
+  std::vector<uint32_t> ref_vars;
+  for (uint32_t bits = 0; bits < (1u << 16); ++bits) {
+    const TruthTable f(4, bits);
+    ASSERT_EQ(f.shrink_to_support(vars), shrink_reference(f, ref_vars)) << bits;
+    ASSERT_EQ(vars, ref_vars) << bits;
+  }
+}
+
+TEST(TruthTableTest, ShrinkToSupportMatchesReferenceWithSupportHoles) {
+  // Random functions of k variables spread over a random subset of n > k
+  // variables, so the support has holes anywhere (and the function may
+  // still ignore some of its k variables).
+  std::mt19937_64 rng(29);
+  std::vector<uint32_t> vars;
+  std::vector<uint32_t> ref_vars;
+  for (uint32_t n = 5; n <= TruthTable::max_vars; ++n) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      const uint32_t k = 1 + static_cast<uint32_t>(rng() % (n - 1));
+      std::array<uint8_t, TruthTable::max_vars> perm{0, 1, 2, 3, 4, 5};
+      std::shuffle(perm.begin(), perm.begin() + n, rng);
+      const auto f = TruthTable(k, rng()).extend(n).permute(perm);
+      ASSERT_EQ(f.shrink_to_support(vars), shrink_reference(f, ref_vars)) << f.to_hex();
+      ASSERT_EQ(vars, ref_vars) << f.to_hex();
+      const TruthTable full(n, rng());
+      ASSERT_EQ(full.shrink_to_support(vars), shrink_reference(full, ref_vars));
+    }
+  }
 }
 
 TEST(TruthTableTest, ShrinkThenExtendRoundTrip) {
