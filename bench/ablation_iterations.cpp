@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   flow::FlowReport report;
   alternating.run(baseline, session, &report);
   print_trajectory(report);
-  printf("  script form: %s\n", alternating.to_string().c_str());
+  printf("  script form: %s\n", alternating.to_script().c_str());
 
   printf("\nexpected shape: most of the gain lands in pass 1; later passes add\n"
          "diminishing returns, supporting the paper's single-pass protocol.\n");

@@ -99,7 +99,7 @@ std::vector<ComplexityRow> length_distribution(const std::vector<uint8_t>& lengt
   return rows;
 }
 
-std::vector<ComplexityRow> depth_distribution(const DepthDistributionOptions&) {
+std::vector<ComplexityRow> depth_distribution() {
   const auto& table = DepthTable::instance();
   std::vector<ComplexityRow> rows;
   for (const auto& rep : npn::enumerate_classes(4)) {

@@ -37,12 +37,7 @@ std::vector<uint8_t> compute_formula_lengths(uint32_t num_vars);
 /// L(f) rows over the 4-variable NPN classes.
 std::vector<ComplexityRow> length_distribution(const std::vector<uint8_t>& lengths);
 
-struct DepthDistributionOptions {
-  int64_t conflict_limit = -1;
-};
-
-/// D(f) rows over the 4-variable NPN classes (one depth synthesis each).
-std::vector<ComplexityRow> depth_distribution(
-    const DepthDistributionOptions& options = {});
+/// D(f) rows over the 4-variable NPN classes, read from DepthTable.
+std::vector<ComplexityRow> depth_distribution();
 
 }  // namespace mighty::exact

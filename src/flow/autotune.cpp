@@ -23,217 +23,22 @@ double seconds_since(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-// --- candidate representation ------------------------------------------------
+// --- mutation ----------------------------------------------------------------
 //
-// Mutations need structure (which '*' belongs to which group, where a group
-// begins), so candidates live as a tiny AST mirroring the script grammar, and
-// are rendered to script text for everything else: validation and
-// canonicalization through Pipeline::parse, evaluation, reporting.
+// Candidates are script syntax trees as parse_script() builds them: mutations
+// need structure (which '*' belongs to which group, where a group begins),
+// and the tree keeps it exactly as written.
 
-struct Item;
-using Sequence = std::vector<Item>;
+using Modifier = ScriptItem::Modifier;
+using Vocabulary = std::vector<std::shared_ptr<const Pass>>;
 
-enum class Mod : uint8_t { once, repeat, converge };
-
-struct Item {
-  std::string word;  ///< leaf when non-empty ("TF", "size", "map4")
-  Sequence body;     ///< group when non-empty
-  Mod mod = Mod::once;
-  uint32_t count = 0;  ///< repeat times / convergence round cap
-
-  bool is_group() const { return word.empty(); }
-};
-
-/// Renders one candidate back to script text.  `cap` clamps every
-/// convergence-round budget — the successive-halving rungs evaluate the same
-/// structure under smaller budgets, so losers cost one round, not sixteen.
-std::string render(const Sequence& sequence, uint32_t cap);
-
-std::string render_item(const Item& item, uint32_t cap) {
-  std::string out;
-  if (item.is_group()) {
-    // Built by append, not operator+: GCC 12's -Wrestrict misfires on the
-    // `"(" + rvalue-string` overload (GCC PR105329).
-    out += '(';
-    out += render(item.body, cap);
-    out += ')';
-  } else {
-    out = item.word;
-    // A modifier on a bare word still round-trips without parentheses, but a
-    // parenthesized single word is equally valid; keep words bare so the
-    // canonical form matches what Pipeline::to_script emits.
-  }
-  switch (item.mod) {
-    case Mod::once:
-      break;
-    case Mod::repeat:
-      out += '*';
-      out += std::to_string(item.count);
-      break;
-    case Mod::converge: {
-      const uint32_t rounds = std::min(item.count, cap);
-      out += '*';
-      if (rounds != kDefaultConvergenceRounds) {
-        out += '<';
-        out += std::to_string(rounds);
-      }
-      break;
-    }
-  }
-  return out;
-}
-
-std::string render(const Sequence& sequence, uint32_t cap) {
-  std::string out;
-  for (const auto& item : sequence) {
-    if (!out.empty()) out += ";";
-    out += render_item(item, cap);
-  }
-  return out;
-}
-
-size_t count_words(const Sequence& sequence) {
+size_t count_words(const ScriptTree& sequence) {
   size_t n = 0;
   for (const auto& item : sequence) {
     n += item.is_group() ? count_words(item.body) : 1;
   }
   return n;
 }
-
-/// Minimal recursive-descent parser from script text into the mutation AST.
-/// Accepts exactly the candidate subset of the grammar: words, groups,
-/// '*'-modifiers.  Session directives ("parallel:n", "cache:<path>") are
-/// rejected up front — batch evaluation cannot run them, and the search must
-/// not waste a generation discovering that.
-class AstParser {
-public:
-  explicit AstParser(const std::string& script) : script_(script) {}
-
-  Sequence parse() {
-    Sequence result = sequence();
-    skip_space();
-    if (pos_ < script_.size()) {
-      throw std::invalid_argument("autotune seed script: unexpected '" +
-                                  std::string(1, script_[pos_]) + "' in \"" +
-                                  script_ + '"');
-    }
-    return result;
-  }
-
-private:
-  void skip_space() {
-    while (pos_ < script_.size() &&
-           std::isspace(static_cast<unsigned char>(script_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_space();
-    return pos_ < script_.size() ? script_[pos_] : '\0';
-  }
-
-  Sequence sequence() {
-    Sequence result;
-    while (true) {
-      const char c = peek();
-      if (c == '\0' || c == ')') break;
-      if (c == ';') {
-        ++pos_;
-        continue;
-      }
-      result.push_back(item());
-    }
-    return result;
-  }
-
-  Item item() {
-    Item result;
-    if (peek() == '(') {
-      ++pos_;
-      result.body = sequence();
-      if (peek() != ')') {
-        throw std::invalid_argument("autotune seed script: missing ')' in \"" +
-                                    script_ + '"');
-      }
-      ++pos_;
-      if (result.body.empty()) {
-        throw std::invalid_argument("autotune seed script: empty group in \"" +
-                                    script_ + '"');
-      }
-    } else {
-      result.word = word();
-    }
-    if (peek() == '*') {
-      ++pos_;
-      if (peek() == '<') {
-        ++pos_;
-        result.mod = Mod::converge;
-        result.count = integer();
-      } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
-        result.mod = Mod::repeat;
-        result.count = integer();
-      } else {
-        result.mod = Mod::converge;
-        result.count = kDefaultConvergenceRounds;
-      }
-    }
-    return result;
-  }
-
-  std::string word() {
-    skip_space();
-    std::string text;
-    while (pos_ < script_.size() &&
-           std::isalnum(static_cast<unsigned char>(script_[pos_]))) {
-      text += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(script_[pos_])));
-      ++pos_;
-    }
-    if (pos_ < script_.size() && script_[pos_] == ':') {
-      throw std::invalid_argument(
-          "autotune search space excludes session directives ('" + text +
-          ":...'): configure the session instead");
-    }
-    if (text.empty()) {
-      throw std::invalid_argument("autotune seed script: expected a pass name in \"" +
-                                  script_ + '"');
-    }
-    return text;
-  }
-
-  uint32_t integer() {
-    // Mirrors the main grammar's integer(): consume every digit with a
-    // saturating accumulator, then reject oversized counts outright — a
-    // huge seed count must fail as "too large", not stop mid-number or wrap.
-    constexpr uint64_t kMaxCount = 1'000'000;
-    skip_space();
-    uint64_t value = 0;
-    size_t digits = 0;
-    while (pos_ < script_.size() &&
-           std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
-      if (value <= kMaxCount) {
-        value = value * 10 + static_cast<uint64_t>(script_[pos_] - '0');
-      }
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) {
-      throw std::invalid_argument("autotune seed script: expected a count in \"" +
-                                  script_ + '"');
-    }
-    if (value > kMaxCount) {
-      throw std::invalid_argument("autotune seed script: count too large in \"" +
-                                  script_ + '"');
-    }
-    return static_cast<uint32_t>(value);
-  }
-
-  const std::string& script_;
-  size_t pos_ = 0;
-};
-
-// --- mutation ----------------------------------------------------------------
 
 /// Deterministic helper: r(n) below draws uniformly-enough from [0, n) with
 /// identical results on every standard library (uniform_int_distribution is
@@ -246,14 +51,14 @@ struct Rng {
 };
 
 /// Every sequence of a candidate, outermost first — the mutation sites.
-void collect_sequences(Sequence& root, std::vector<Sequence*>& out) {
+void collect_sequences(ScriptTree& root, std::vector<ScriptTree*>& out) {
   out.push_back(&root);
   for (auto& item : root) {
     if (item.is_group()) collect_sequences(item.body, out);
   }
 }
 
-void collect_items(Sequence& root, std::vector<Item*>& out) {
+void collect_items(ScriptTree& root, std::vector<ScriptItem*>& out) {
   for (auto& item : root) {
     out.push_back(&item);
     if (item.is_group()) collect_items(item.body, out);
@@ -262,50 +67,50 @@ void collect_items(Sequence& root, std::vector<Item*>& out) {
 
 /// Applies one structural mutation in place; returns false when the drawn
 /// operator has no applicable site (the caller redraws).
-bool mutate_once(Sequence& root, const std::vector<std::string>& vocabulary,
+bool mutate_once(ScriptTree& root, const Vocabulary& vocabulary,
                  uint32_t max_words, uint32_t max_cap, Rng& rng) {
-  std::vector<Sequence*> sequences;
+  std::vector<ScriptTree*> sequences;
   collect_sequences(root, sequences);
-  std::vector<Item*> items;
+  std::vector<ScriptItem*> items;
   collect_items(root, items);
 
   switch (rng(6)) {
     case 0: {  // swap adjacent passes
-      std::vector<Sequence*> sites;
+      std::vector<ScriptTree*> sites;
       for (auto* seq : sequences) {
         if (seq->size() >= 2) sites.push_back(seq);
       }
       if (sites.empty()) return false;
-      Sequence& seq = *sites[rng(sites.size())];
+      ScriptTree& seq = *sites[rng(sites.size())];
       const size_t i = rng(seq.size() - 1);
       std::swap(seq[i], seq[i + 1]);
       return true;
     }
     case 1: {  // bump/shrink a repeat count or convergence cap
       if (items.empty()) return false;
-      Item& item = *items[rng(items.size())];
+      ScriptItem& item = *items[rng(items.size())];
       const bool bump = rng(2) == 0;
-      switch (item.mod) {
-        case Mod::once:
+      switch (item.modifier) {
+        case Modifier::once:
           // An unmodified item is an implicit repeat of 1: bumping it makes
           // the "x*N" region of the grammar reachable.
           if (!bump) return false;
-          item.mod = Mod::repeat;
+          item.modifier = Modifier::repeat;
           item.count = 2;
           return true;
-        case Mod::repeat:
+        case Modifier::repeat:
           // Repeats are exact work multipliers; keep them small, and fold
           // "x*1" back into the bare item.
           if (bump) {
             item.count = std::min(item.count + 1, 4u);
           } else if (--item.count <= 1) {
-            item.mod = Mod::once;
+            item.modifier = Modifier::once;
             item.count = 0;
           }
           return true;
-        case Mod::converge:
-          // Caps above the full budget would be clamped away at render time;
-          // bumping past max_cap only manufactures duplicates.
+        case Modifier::converge:
+          // Caps above the full budget are clamped away when the tree is
+          // built; bumping past max_cap only manufactures duplicates.
           item.count = bump ? std::min(item.count * 2, max_cap)
                             : std::max(item.count / 2, 1u);
           return true;
@@ -314,12 +119,12 @@ bool mutate_once(Sequence& root, const std::vector<std::string>& vocabulary,
     }
     case 2: {  // wrap a span in a "(...)*" convergence group
       if (count_words(root) >= max_words) return false;  // groups invite growth
-      Sequence& seq = *sequences[rng(sequences.size())];
+      ScriptTree& seq = *sequences[rng(sequences.size())];
       if (seq.empty()) return false;
       const size_t begin = rng(seq.size());
       const size_t len = 1 + rng(seq.size() - begin);
-      Item group;
-      group.mod = Mod::converge;
+      ScriptItem group;
+      group.modifier = Modifier::converge;
       group.count = max_cap;
       group.body.assign(seq.begin() + static_cast<long>(begin),
                         seq.begin() + static_cast<long>(begin + len));
@@ -329,7 +134,7 @@ bool mutate_once(Sequence& root, const std::vector<std::string>& vocabulary,
       return true;
     }
     case 3: {  // unwrap a group (drop its modifier, splice the body)
-      std::vector<std::pair<Sequence*, size_t>> sites;
+      std::vector<std::pair<ScriptTree*, size_t>> sites;
       for (auto* seq : sequences) {
         for (size_t i = 0; i < seq->size(); ++i) {
           if ((*seq)[i].is_group()) sites.emplace_back(seq, i);
@@ -337,7 +142,7 @@ bool mutate_once(Sequence& root, const std::vector<std::string>& vocabulary,
       }
       if (sites.empty()) return false;
       auto [seq, index] = sites[rng(sites.size())];
-      Sequence body = std::move((*seq)[index].body);
+      ScriptTree body = std::move((*seq)[index].body);
       seq->erase(seq->begin() + static_cast<long>(index));
       seq->insert(seq->begin() + static_cast<long>(index),
                   std::make_move_iterator(body.begin()),
@@ -345,41 +150,41 @@ bool mutate_once(Sequence& root, const std::vector<std::string>& vocabulary,
       return true;
     }
     case 4: {  // replace a pass word
-      std::vector<Item*> sites;
+      std::vector<ScriptItem*> sites;
       for (auto* item : items) {
         if (!item->is_group()) sites.push_back(item);
       }
       if (sites.empty()) return false;
-      Item& item = *sites[rng(sites.size())];
-      const std::string& word = vocabulary[rng(vocabulary.size())];
-      if (word == item.word) return false;
-      item.word = word;
+      ScriptItem& item = *sites[rng(sites.size())];
+      const auto& word = vocabulary[rng(vocabulary.size())];
+      if (word->name() == item.pass->name()) return false;
+      item.pass = word;
       return true;
     }
     default: {  // insert or delete a pass word
       if (rng(2) == 0 && count_words(root) < max_words) {
-        Sequence& seq = *sequences[rng(sequences.size())];
-        Item item;
-        item.word = vocabulary[rng(vocabulary.size())];
+        ScriptTree& seq = *sequences[rng(sequences.size())];
+        ScriptItem item;
+        item.pass = vocabulary[rng(vocabulary.size())];
         seq.insert(seq.begin() + static_cast<long>(rng(seq.size() + 1)),
                    std::move(item));
         return true;
       }
       if (count_words(root) <= 1 || items.empty()) return false;
-      std::vector<std::pair<Sequence*, size_t>> sites;
+      std::vector<std::pair<ScriptTree*, size_t>> sites;
       for (auto* seq : sequences) {
         for (size_t i = 0; i < seq->size(); ++i) sites.emplace_back(seq, i);
       }
       auto [seq, index] = sites[rng(sites.size())];
       seq->erase(seq->begin() + static_cast<long>(index));
       // Dropping a group's last sibling may leave an empty group upstream;
-      // prune those so the render always parses.
-      std::function<void(Sequence&)> prune = [&](Sequence& s) {
+      // prune those, the grammar has no empty group.
+      std::function<void(ScriptTree&)> prune = [&](ScriptTree& s) {
         for (auto& item : s) {
           if (item.is_group()) prune(item.body);
         }
         s.erase(std::remove_if(s.begin(), s.end(),
-                               [](const Item& item) {
+                               [](const ScriptItem& item) {
                                  return item.is_group() && item.body.empty();
                                }),
                 s.end());
@@ -419,8 +224,8 @@ uint64_t objective_value(Objective objective, const BatchReport& batch) {
 }
 
 struct Candidate {
-  Sequence ast;
-  std::string canonical;  ///< Pipeline::parse(render).to_script()
+  ScriptTree tree;
+  std::string canonical;  ///< from_tree(tree, full round cap).to_script()
 };
 
 }  // namespace
@@ -528,23 +333,23 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   TuneReport& out = report != nullptr ? (*report = TuneReport{}, *report) : local;
   const auto search_start = std::chrono::steady_clock::now();
 
-  std::vector<std::string> vocabulary = params_.vocabulary;
-  if (vocabulary.empty()) {
-    vocabulary = {"TF", "TFD", "BF", "BFD", "size", "depth"};
+  std::vector<std::string> words = params_.vocabulary;
+  if (words.empty()) {
+    words = {"TF", "TFD", "BF", "BFD", "size", "depth"};
     if (params_.five_input_words) {
-      for (const char* word : {"TF5", "TFD5", "BF5", "BFD5"}) {
-        vocabulary.push_back(word);
-      }
+      for (const char* word : {"TF5", "TFD5", "BF5", "BFD5"}) words.push_back(word);
     }
   }
-  for (auto& word : vocabulary) {
-    Pipeline::parse(word);  // throws with the offending word on a bad vocabulary
-    // AST words are stored lowercase (the grammar is case-insensitive);
-    // vocabulary words must match, or the replace-mutation's no-op guard
-    // ("drew the item's own word") never fires.
-    for (auto& c : word) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  Vocabulary vocabulary;
+  for (const auto& word : words) {
+    // Throws with the offending word on a bad vocabulary.
+    const ScriptTree tree = parse_script(word);
+    if (tree.size() != 1 || tree[0].is_group() ||
+        tree[0].modifier != Modifier::once) {
+      throw std::invalid_argument("autotune vocabulary entry is not one pass word: \"" +
+                                  word + '"');
     }
+    vocabulary.push_back(tree[0].pass);
   }
 
   std::vector<std::string> seeds = params_.seed_scripts;
@@ -563,22 +368,22 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
     }
   }
 
-  // Canonicalize one candidate script: parse into the engine's structure and
-  // re-emit.  Throws on scripts the grammar rejects.
-  const auto canonicalize = [](const std::string& script) {
-    const Pipeline pipeline = Pipeline::parse(script);
+  // A candidate's canonical script under a convergence budget: the pipeline
+  // its tree builds with every round cap clamped to `cap`, in script form.
+  // Throws on trees batch evaluation cannot run.
+  const auto canonicalize = [](const ScriptTree& tree, uint32_t cap) {
+    const Pipeline pipeline = Pipeline::from_tree(tree, cap);
     if (pipeline.mutates_session()) {
       throw std::invalid_argument(
-          "autotune candidates must not contain session directives: " + script);
+          "autotune candidates must not contain session directives: " +
+          pipeline.to_script());
     }
-    if (pipeline.empty()) {
-      throw std::invalid_argument("autotune candidate is empty: " + script);
-    }
+    if (pipeline.empty()) throw std::invalid_argument("autotune candidate is empty");
     return pipeline.to_script();
   };
 
   // One batch evaluation of `script`, memoized on the script text alone —
-  // the rung budget is already baked into the rendered caps, so a candidate
+  // the rung budget is already baked into the clamped caps, so a candidate
   // without convergence groups costs one evaluation across all rungs.  The
   // memo makes re-encounters free *and* keeps the search deterministic: a
   // cached result is bit-identical to a fresh one, so hitting the memo can
@@ -619,28 +424,28 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   std::map<std::string, TuneEntry> graduated;  // canonical -> full-budget entry
 
   // Record one full-budget evaluation as a report entry.
-  const auto graduate = [&](const Candidate& candidate) {
-    if (graduated.count(candidate.canonical) > 0) return;
-    const Evaluation& eval = evaluate(candidate.canonical);
+  const auto graduate = [&](const std::string& canonical) {
+    if (graduated.count(canonical) > 0) return;
+    const Evaluation& eval = evaluate(canonical);
     if (eval.failed) {
       ++out.invalid_rejected;
       return;
     }
     TuneEntry entry;
-    entry.script = candidate.canonical;
+    entry.script = canonical;
     entry.size = eval.size;
     entry.depth = eval.depth;
     entry.objective = eval.objective;
     entry.seconds = eval.seconds;
-    graduated.emplace(candidate.canonical, std::move(entry));
+    graduated.emplace(canonical, std::move(entry));
   };
 
   // Seed pool.
   std::vector<Candidate> pool;
   for (const auto& seed : seeds) {
     Candidate candidate;
-    candidate.ast = AstParser(seed).parse();
-    candidate.canonical = canonicalize(render(candidate.ast, params_.full_round_cap));
+    candidate.tree = parse_script(seed);
+    candidate.canonical = canonicalize(candidate.tree, params_.full_round_cap);
     if (!seen.insert(candidate.canonical).second) continue;
     ++out.candidates_generated;
     pool.push_back(std::move(candidate));
@@ -649,15 +454,14 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   // The baseline always graduates, even if a rung would prune it — the
   // report's bar to beat must exist.
   {
-    Candidate baseline;
-    baseline.ast = AstParser(kBaselineScript).parse();
-    // Rendered under the same full-budget clamp as every candidate: with a
+    // Built under the same full-budget clamp as every candidate: with a
     // non-default full_round_cap the bar to beat must run the same number of
     // convergence rounds the winners are allowed, or the comparison (and the
     // bench's "strictly beats baseline" gate) would use unequal budgets.
-    baseline.canonical = canonicalize(render(baseline.ast, params_.full_round_cap));
+    const std::string baseline =
+        canonicalize(parse_script(kBaselineScript), params_.full_round_cap);
     graduate(baseline);
-    const auto it = graduated.find(baseline.canonical);
+    const auto it = graduated.find(baseline);
     if (it == graduated.end()) {
       throw std::runtime_error("autotune baseline failed to evaluate on this corpus");
     }
@@ -675,13 +479,13 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
            attempts < max_attempts) {
       ++attempts;
       Candidate mutant = basis[rng(basis.size())];
-      if (!mutate_once(mutant.ast, vocabulary, params_.max_words,
+      if (!mutate_once(mutant.tree, vocabulary, params_.max_words,
                        params_.full_round_cap, rng)) {
         continue;
       }
       std::string canonical;
       try {
-        canonical = canonicalize(render(mutant.ast, params_.full_round_cap));
+        canonical = canonicalize(mutant.tree, params_.full_round_cap);
       } catch (const std::invalid_argument&) {
         ++out.invalid_rejected;
         continue;
@@ -705,7 +509,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
         const std::string budgeted =
             rung + 1 == ladder.size()
                 ? pool[i].canonical
-                : canonicalize(render(pool[i].ast, cap));
+                : canonicalize(pool[i].tree, cap);
         const Evaluation& eval = evaluate(budgeted);
         if (eval.failed) {
           ++out.invalid_rejected;
@@ -723,7 +527,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
       }
       pool = std::move(survivors);
     }
-    for (const auto& candidate : pool) graduate(candidate);
+    for (const auto& candidate : pool) graduate(candidate.canonical);
 
     if (generation >= params_.generations) break;
 
@@ -739,7 +543,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
     pool.clear();
     for (size_t i = 0; i < entries.size() && i < parents; ++i) {
       Candidate parent;
-      parent.ast = AstParser(entries[i]->script).parse();
+      parent.tree = parse_script(entries[i]->script);
       parent.canonical = entries[i]->script;
       pool.push_back(std::move(parent));
     }

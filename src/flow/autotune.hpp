@@ -14,10 +14,11 @@
 /// ("running it several times or combining it with other optimization
 /// algorithms will likely lead to further improvements", Sec. V-C).  The
 /// Autotuner makes that tuning automatic: the script grammar *is* the search
-/// space.  Candidates are whole flow scripts — pass words, repeat counts,
-/// round caps, group structure — seeded with the paper's flows and mutated
-/// structurally (swap adjacent passes, bump/shrink counts, wrap or unwrap
-/// "(...)*" groups, replace/insert/delete pass words).
+/// space.  Candidates are script syntax trees as parse_script() builds them
+/// — pass words, repeat counts, round caps, group structure — seeded with
+/// the paper's flows and mutated on the tree (swap adjacent passes,
+/// bump/shrink counts, wrap or unwrap "(...)*" groups, replace/insert/delete
+/// pass words).
 ///
 ///   flow::Session session;
 ///   auto corpus = flow::Corpus::generated_arithmetic();
@@ -33,9 +34,9 @@
 ///    shared Session, so the 5-input oracle (and the NPN memo) stays warm
 ///    across the whole search — evaluating hundreds of scripts costs far
 ///    less than hundreds of cold runs;
-///  * candidates are deduplicated by canonical script form: two mutants that
-///    Pipeline::parse to the same structure share one evaluation
-///    (Pipeline::to_script() is the dedup key);
+///  * candidates are deduplicated by canonical script form: two mutants whose
+///    trees build the same pipeline share one evaluation
+///    (Pipeline::from_tree(tree, cap).to_script() is the dedup key);
 ///  * successive halving prunes losers early: every rung clamps the
 ///    convergence-round caps of all "(...)*" groups to a small budget,
 ///    halves the pool on the objective, and only the leaders graduate to the
@@ -87,8 +88,8 @@ struct TuneParams {
   /// multiplies evaluation cost (the warm persistent cache mitigates, but a
   /// first search pays).
   bool five_input_words = false;
-  /// Mutation vocabulary; empty selects the default (the four F-variants
-  /// plus size and depth, extended by five_input_words).
+  /// Mutation vocabulary, one pass word per entry; empty selects the default
+  /// (the four F-variants plus size and depth, extended by five_input_words).
   std::vector<std::string> vocabulary;
   /// Seed scripts; empty selects the paper's flows (always including
   /// kBaselineScript).  Must parse and must not contain session directives
@@ -137,7 +138,8 @@ public:
   /// from its canonical script, so running it reproduces the reported
   /// metrics bit-identically).  When `report` is given it is reset and
   /// filled.  Throws std::invalid_argument on an empty corpus or malformed
-  /// TuneParams (bad seed script, empty vocabulary word, population 0).
+  /// TuneParams (bad seed script, a vocabulary entry that is not one pass
+  /// word, population 0).
   Pipeline tune(const Corpus& corpus, TuneReport* report = nullptr);
 
   /// Tunes a single network (a corpus of one).

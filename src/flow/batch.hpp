@@ -102,7 +102,7 @@ public:
   /// reset and filled with per-network reports and the corpus roll-up.
   ///
   /// Throws std::invalid_argument if the pipeline contains a "parallel:n"
-  /// directive: that knob rebuilds the session's executor, which must not
+  /// directive: that knob rebuilds the session's worker pool, which must not
   /// happen while batch tasks run on it — set Session::set_threads (or the
   /// session params) before the batch instead.
   std::vector<mig::Mig> run(const Corpus& corpus, const Pipeline& pipeline,

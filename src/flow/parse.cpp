@@ -7,18 +7,8 @@
 #include "mig/cuts.hpp"
 #include "util/thread_pool.hpp"
 
-/// Recursive-descent parser for the flow-script grammar (see pipeline.hpp):
-///
-///   sequence := item (';' item)*
-///   item     := atom ['*' count | '*' '<' count | '*']
-///   atom     := '(' sequence ')' | word
-///   word     := variant acronym | size | depth | map[k] | parallel[:]n
-///             | cache:path | check
-///
-/// Case-insensitive; whitespace between tokens is insignificant (a token
-/// itself cannot be split: "ma p" is not "map"); empty items ("TF;;BF",
-/// trailing ';') are permitted and skipped so shell-assembled scripts don't
-/// need trimming.
+/// The flow-script parser: recursive descent over the grammar in
+/// pipeline.hpp, from script text to its literal syntax tree.
 
 namespace mighty::flow {
 
@@ -28,8 +18,8 @@ class Parser {
 public:
   explicit Parser(const std::string& script) : script_(script) {}
 
-  Pipeline parse() {
-    Pipeline result = sequence();
+  ScriptTree parse() {
+    ScriptTree result = sequence();
     if (!at_end()) {
       fail(std::string("unexpected '") + peek() + "'");
     }
@@ -74,12 +64,12 @@ private:
     return true;
   }
 
-  Pipeline sequence() {
-    Pipeline result;
+  ScriptTree sequence() {
+    ScriptTree result;
     while (true) {
       if (at_end() || peek() == ')') break;
       if (consume(';')) continue;  // empty item
-      result.then(item());
+      result.push_back(item());
       if (!at_end() && peek() != ')' && !consume(';')) {
         fail(std::string("expected ';' before '") + peek() + "'");
       }
@@ -87,35 +77,39 @@ private:
     return result;
   }
 
-  Pipeline item() {
-    Pipeline base = atom();
-    if (!consume('*')) return base;
+  ScriptItem item() {
+    ScriptItem result = atom();
+    if (!consume('*')) return result;
+    result.modifier = ScriptItem::Modifier::converge;
+    result.count = kDefaultConvergenceRounds;
     if (consume('<')) {  // "x*<N": until convergence, at most N rounds
-      const uint32_t rounds = integer();
-      if (rounds == 0) fail_at(int_start_, "round cap must be at least 1");
-      return base.until_convergence(rounds);
+      result.count = integer();
+      if (result.count == 0) fail_at(int_start_, "round cap must be at least 1");
+      return result;
     }
     skip_space();
     if (pos_ < script_.size() &&
         std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
-      const uint32_t count = integer();
-      if (count == 0) fail_at(int_start_, "repeat count must be at least 1");
-      return base.repeat(count);
+      result.modifier = ScriptItem::Modifier::repeat;
+      result.count = integer();
+      if (result.count == 0) fail_at(int_start_, "repeat count must be at least 1");
     }
-    return base.until_convergence();
+    return result;
   }
 
-  Pipeline atom() {
+  ScriptItem atom() {
+    ScriptItem result;
     if (consume('(')) {
-      Pipeline inner = sequence();
+      result.body = sequence();
       if (!consume(')')) fail("missing ')'");
-      if (inner.empty()) fail("empty group '()'");
-      return inner;
+      if (result.body.empty()) fail("empty group '()'");
+    } else {
+      result.pass = word();
     }
-    return word();
+    return result;
   }
 
-  Pipeline word() {
+  std::shared_ptr<const Pass> word() {
     skip_space();
     const size_t start = pos_;
     std::string text;
@@ -131,12 +125,11 @@ private:
                           "'");
     }
 
-    Pipeline result;
-    if (text == "size") return result.size_opt(), result;
-    if (text == "depth") return result.depth_opt(), result;
-    if (text == "check") return result.check(), result;
+    if (text == "size") return make_size_pass();
+    if (text == "depth") return make_depth_pass();
+    if (text == "check") return make_check_pass();
     if (text == "parallel") {
-      // "parallel:n" (the canonical form emitted by to_string) or "paralleln".
+      // "parallel:n" (the canonical form emitted by to_script) or "paralleln".
       consume(':');
       skip_space();
       if (pos_ >= script_.size() ||
@@ -148,7 +141,7 @@ private:
         fail_at(int_start_, "thread count out of range in 'parallel:" +
                                 std::to_string(threads) + "'");
       }
-      return result.add(make_parallel_pass(threads)), result;
+      return make_parallel_pass(threads);
     }
     if (text == "cache") {
       // "cache:<path>" attaches the persistent 5-input oracle cache.  The
@@ -165,7 +158,7 @@ private:
         ++pos_;
       }
       if (path.empty()) fail("expected a file path after 'cache:'");
-      return result.add(make_cache_pass(std::move(path))), result;
+      return make_cache_pass(std::move(path));
     }
     if (text == "map") {
       map::MapParams params;
@@ -177,7 +170,7 @@ private:
                                   std::to_string(params.lut_size) + "'");
         }
       }
-      return result.lut_map(params), result;
+      return make_lut_map_pass(params);
     }
     // A trailing '5' selects the variant's 5-input-cut extension ("TF5");
     // it is part of the word, not a repeat count (those need '*').
@@ -186,11 +179,10 @@ private:
       ++pos_;
     }
     try {
-      result.rewrite(text);
+      return make_rewrite_pass(text);
     } catch (const std::invalid_argument&) {
       fail_at(start, "unknown pass \"" + text + '"');
     }
-    return result;
   }
 
   /// Largest count any production accepts; far below UINT32_MAX, so inputs
@@ -228,8 +220,12 @@ private:
 
 }  // namespace
 
-Pipeline Pipeline::parse(const std::string& script) {
+ScriptTree parse_script(const std::string& script) {
   return Parser(script).parse();
+}
+
+Pipeline Pipeline::parse(const std::string& script) {
+  return from_tree(parse_script(script));
 }
 
 }  // namespace mighty::flow

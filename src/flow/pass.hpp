@@ -18,7 +18,9 @@
 /// manipulations: the eight functional-hashing variants (T/TD/TF/TFD and
 /// their bottom-up duals), algebraic size and depth optimization, and k-LUT
 /// mapping (an analysis pass: it reports area/depth and leaves the network
-/// untouched).  Pipelines compose passes; see pipeline.hpp.
+/// untouched).  Pipelines compose passes; see pipeline.hpp.  A pass is
+/// immutable once built: pipelines share it (std::shared_ptr<const Pass>),
+/// and a batch run executes one pass object from many threads at once.
 
 namespace mighty::flow {
 
@@ -112,7 +114,7 @@ class Pass {
 public:
   virtual ~Pass() = default;
 
-  /// Script-form name; Pipeline::to_string() joins these with ';' such that
+  /// Script-form name; Pipeline::to_script() joins these with ';' such that
   /// the result re-parses to an equivalent pipeline.
   virtual std::string name() const = 0;
 
@@ -129,38 +131,36 @@ public:
 
   /// True when the pass reconfigures the session's execution engine rather
   /// than transforming the network (the "parallel:n" directive).  Such
-  /// passes are rejected inside batch runs, where tearing down the executor
-  /// mid-flight would destroy the pool the batch is running on.
+  /// passes are rejected inside batch runs, where rebuilding the session's
+  /// worker pool mid-flight would destroy the pool the batch is running on.
   virtual bool mutates_session() const { return false; }
-
-  virtual std::unique_ptr<Pass> clone() const = 0;
 };
 
 /// Functional hashing with a paper-acronym variant ("TF", "bfd", ...).
-std::unique_ptr<Pass> make_rewrite_pass(const std::string& variant);
+std::shared_ptr<const Pass> make_rewrite_pass(const std::string& variant);
 /// Functional hashing with explicit parameters under a display name.
-std::unique_ptr<Pass> make_rewrite_pass(const opt::RewriteParams& params,
-                                        std::string name);
+std::shared_ptr<const Pass> make_rewrite_pass(const opt::RewriteParams& params,
+                                              std::string name);
 /// Algebraic size optimization (Omega rules, right-to-left distributivity).
-std::unique_ptr<Pass> make_size_pass(const algebra::SizeOptParams& params = {});
+std::shared_ptr<const Pass> make_size_pass(const algebra::SizeOptParams& params = {});
 /// Algebraic depth optimization (greedy critical-path reduction).
-std::unique_ptr<Pass> make_depth_pass(const algebra::DepthOptParams& params = {});
+std::shared_ptr<const Pass> make_depth_pass(const algebra::DepthOptParams& params = {});
 /// k-LUT mapping; records LUT count and LUT depth, returns the MIG unchanged.
-std::unique_ptr<Pass> make_lut_map_pass(const map::MapParams& params = {});
+std::shared_ptr<const Pass> make_lut_map_pass(const map::MapParams& params = {});
 /// Execution directive: sets the session's parallelism for every subsequent
 /// pass (script form "parallel:n").  Returns the network unchanged and adds
 /// no trajectory entry — it transforms the engine, not the MIG.
-std::unique_ptr<Pass> make_parallel_pass(uint32_t threads);
+std::shared_ptr<const Pass> make_parallel_pass(uint32_t threads);
 /// Session directive: points the session at a persistent 5-input oracle
 /// cache (script form "cache:<path>") — the file is merged into the oracle
 /// and written back on save/autosave.  Returns the network unchanged and
 /// adds no trajectory entry.
-std::unique_ptr<Pass> make_cache_pass(std::string path);
+std::shared_ptr<const Pass> make_cache_pass(std::string path);
 
 /// The "check" script word: full invariant validation of the current network
 /// (check::validate_at at full level), throwing std::logic_error with the
 /// diagnostic summary on the first violation.  The network passes through
 /// untouched; the trajectory records the validation time.
-std::unique_ptr<Pass> make_check_pass();
+std::shared_ptr<const Pass> make_check_pass();
 
 }  // namespace mighty::flow

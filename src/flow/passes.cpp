@@ -56,9 +56,6 @@ public:
 
   bool uses_oracle() const override { return true; }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<RewritePass>(params_, name_);
-  }
 
 private:
   opt::RewriteParams params_;
@@ -89,9 +86,6 @@ public:
     return result;
   }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<SizePass>(params_);
-  }
 
 private:
   algebra::SizeOptParams params_;
@@ -118,9 +112,6 @@ public:
     return result;
   }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<DepthPass>(params_);
-  }
 
 private:
   algebra::DepthOptParams params_;
@@ -150,9 +141,6 @@ public:
     return mig;
   }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<LutMapPass>(params_);
-  }
 
 private:
   map::MapParams params_;
@@ -175,9 +163,6 @@ public:
 
   bool mutates_session() const override { return true; }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<ParallelPass>(threads_);
-  }
 
 private:
   uint32_t threads_;
@@ -204,9 +189,6 @@ public:
 
   bool mutates_session() const override { return true; }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<CachePass>(path_);
-  }
 
 private:
   std::string path_;
@@ -234,15 +216,11 @@ public:
     }
     return mig;
   }
-
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<CheckPass>();
-  }
 };
 
 }  // namespace
 
-std::unique_ptr<Pass> make_rewrite_pass(const std::string& variant) {
+std::shared_ptr<const Pass> make_rewrite_pass(const std::string& variant) {
   std::string canonical = variant;
   std::transform(canonical.begin(), canonical.end(), canonical.begin(),
                  [](unsigned char c) { return std::toupper(c); });
@@ -256,36 +234,36 @@ std::unique_ptr<Pass> make_rewrite_pass(const std::string& variant) {
   } else {
     params = opt::variant_params(canonical);
   }
-  return std::make_unique<RewritePass>(params, std::move(canonical));
+  return std::make_shared<RewritePass>(params, std::move(canonical));
 }
 
-std::unique_ptr<Pass> make_rewrite_pass(const opt::RewriteParams& params,
-                                        std::string name) {
-  return std::make_unique<RewritePass>(params, std::move(name));
+std::shared_ptr<const Pass> make_rewrite_pass(const opt::RewriteParams& params,
+                                              std::string name) {
+  return std::make_shared<RewritePass>(params, std::move(name));
 }
 
-std::unique_ptr<Pass> make_size_pass(const algebra::SizeOptParams& params) {
-  return std::make_unique<SizePass>(params);
+std::shared_ptr<const Pass> make_size_pass(const algebra::SizeOptParams& params) {
+  return std::make_shared<SizePass>(params);
 }
 
-std::unique_ptr<Pass> make_depth_pass(const algebra::DepthOptParams& params) {
-  return std::make_unique<DepthPass>(params);
+std::shared_ptr<const Pass> make_depth_pass(const algebra::DepthOptParams& params) {
+  return std::make_shared<DepthPass>(params);
 }
 
-std::unique_ptr<Pass> make_lut_map_pass(const map::MapParams& params) {
-  return std::make_unique<LutMapPass>(params);
+std::shared_ptr<const Pass> make_lut_map_pass(const map::MapParams& params) {
+  return std::make_shared<LutMapPass>(params);
 }
 
-std::unique_ptr<Pass> make_parallel_pass(uint32_t threads) {
-  return std::make_unique<ParallelPass>(threads == 0 ? 1 : threads);
+std::shared_ptr<const Pass> make_parallel_pass(uint32_t threads) {
+  return std::make_shared<ParallelPass>(threads == 0 ? 1 : threads);
 }
 
-std::unique_ptr<Pass> make_cache_pass(std::string path) {
-  return std::make_unique<CachePass>(std::move(path));
+std::shared_ptr<const Pass> make_cache_pass(std::string path) {
+  return std::make_shared<CachePass>(std::move(path));
 }
 
-std::unique_ptr<Pass> make_check_pass() {
-  return std::make_unique<CheckPass>();
+std::shared_ptr<const Pass> make_check_pass() {
+  return std::make_shared<CheckPass>();
 }
 
 }  // namespace mighty::flow

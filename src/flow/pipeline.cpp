@@ -1,5 +1,6 @@
 #include "flow/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -63,7 +64,7 @@ protected:
   /// word — nested combinators ("BF*2" inside a repeat) must group, or the
   /// emitted script would stack '*' suffixes the grammar rejects.
   std::string body_script() const {
-    const auto script = body_.to_string();
+    const auto script = body_.to_script();
     const bool plain_word =
         body_.num_passes() == 1 &&
         script.find_first_of("*();") == std::string::npos;
@@ -89,10 +90,6 @@ public:
       current = body_.run_into(current, session, report);
     }
     return current;
-  }
-
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<RepeatPass>(body_, times_);
   }
 
 private:
@@ -139,27 +136,13 @@ public:
     return best;
   }
 
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<ConvergePass>(body_, max_rounds_);
-  }
-
 private:
   uint32_t max_rounds_;
 };
 
 }  // namespace
 
-Pipeline::Pipeline(const Pipeline& other) {
-  passes_.reserve(other.passes_.size());
-  for (const auto& pass : other.passes_) passes_.push_back(pass->clone());
-}
-
-Pipeline& Pipeline::operator=(const Pipeline& other) {
-  if (this != &other) *this = Pipeline(other);
-  return *this;
-}
-
-Pipeline& Pipeline::add(std::unique_ptr<Pass> pass) {
+Pipeline& Pipeline::add(std::shared_ptr<const Pass> pass) {
   passes_.push_back(std::move(pass));
   return *this;
 }
@@ -168,7 +151,7 @@ Pipeline& Pipeline::then(const Pipeline& other) {
   // Fixing the count first keeps self-append (p.then(p)) well defined.
   const size_t count = other.passes_.size();
   passes_.reserve(passes_.size() + count);
-  for (size_t i = 0; i < count; ++i) passes_.push_back(other.passes_[i]->clone());
+  for (size_t i = 0; i < count; ++i) passes_.push_back(other.passes_[i]);
   return *this;
 }
 
@@ -206,13 +189,33 @@ Pipeline& Pipeline::check() {
 
 Pipeline Pipeline::repeat(uint32_t times) const {
   Pipeline result;
-  result.add(std::make_unique<RepeatPass>(*this, times));
+  result.add(std::make_shared<RepeatPass>(*this, times));
   return result;
 }
 
 Pipeline Pipeline::until_convergence(uint32_t max_rounds) const {
   Pipeline result;
-  result.add(std::make_unique<ConvergePass>(*this, max_rounds));
+  result.add(std::make_shared<ConvergePass>(*this, max_rounds));
+  return result;
+}
+
+Pipeline Pipeline::from_tree(const ScriptTree& tree, uint32_t max_rounds) {
+  Pipeline result;
+  for (const auto& item : tree) {
+    Pipeline piece = item.is_group() ? from_tree(item.body, max_rounds)
+                                     : Pipeline().add(item.pass);
+    switch (item.modifier) {
+      case ScriptItem::Modifier::once:
+        break;
+      case ScriptItem::Modifier::repeat:
+        piece = piece.repeat(item.count);
+        break;
+      case ScriptItem::Modifier::converge:
+        piece = piece.until_convergence(std::min(item.count, max_rounds));
+        break;
+    }
+    result.then(piece);
+  }
   return result;
 }
 
@@ -226,7 +229,7 @@ Pipeline Pipeline::interleave(const std::vector<Pipeline>& phases) {
     bool any = false;
     for (const auto& phase : phases) {
       if (i < phase.passes_.size()) {
-        result.passes_.push_back(phase.passes_[i]->clone());
+        result.passes_.push_back(phase.passes_[i]);
         any = true;
       }
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -28,7 +29,9 @@
 ///
 ///   auto flow = flow::Pipeline::parse("TF; (BFD; size)*; map");
 ///
-/// Script grammar (case-insensitive; whitespace between tokens is ignored):
+/// Script grammar, the one definition (case-insensitive; whitespace between
+/// tokens is ignored, but a token cannot be split — "ma p" is not "map";
+/// empty items such as "TF;;BF" or a trailing ';' are skipped):
 ///   sequence := item (';' item)*
 ///   item     := atom ['*' count             -- repeat n times
 ///                    | '*' '<' count        -- to convergence, round cap
@@ -41,6 +44,10 @@
 ///             | parallel:n                  -- run later passes on n threads
 ///             | cache:path                  -- persistent 5-input oracle cache
 ///             | check                       -- full invariant validation
+///
+/// parse_script() turns a script into its literal syntax tree; Pipeline
+/// builds its passes from that tree, and the autotuner (autotune.hpp)
+/// mutates it.
 
 namespace mighty::flow {
 
@@ -50,19 +57,36 @@ struct RunControl;
 /// script form maps to exactly this value.
 inline constexpr uint32_t kDefaultConvergenceRounds = 16;
 
+/// One item of a script's syntax tree, exactly as written: nothing is
+/// normalized, so an unmodified "( ... )" group and a parenthesized single
+/// word stay groups (to_script() of the pipeline built from the tree prints
+/// neither).
+struct ScriptItem {
+  enum class Modifier : uint8_t { once, repeat, converge };
+
+  std::shared_ptr<const Pass> pass;  ///< the word; null for a group
+  std::vector<ScriptItem> body;      ///< the group's items
+  Modifier modifier = Modifier::once;
+  uint32_t count = 0;  ///< repeat times, or convergence round cap ("*" = default)
+
+  bool is_group() const { return pass == nullptr; }
+};
+
+/// A script's syntax tree: its top-level sequence of items.
+using ScriptTree = std::vector<ScriptItem>;
+
+/// Parses the grammar above into its literal syntax tree, building and
+/// validating every word's pass.  Throws api::ScriptError (a
+/// std::invalid_argument) naming the offending token and its position.
+ScriptTree parse_script(const std::string& script);
+
 class Pipeline {
 public:
-  Pipeline() = default;
-  Pipeline(const Pipeline& other);
-  Pipeline& operator=(const Pipeline& other);
-  Pipeline(Pipeline&&) noexcept = default;
-  Pipeline& operator=(Pipeline&&) noexcept = default;
-
   // --- building --------------------------------------------------------------
 
   /// Appends an arbitrary pass; returns *this for chaining.
-  Pipeline& add(std::unique_ptr<Pass> pass);
-  /// Appends a copy of every pass of `other`.
+  Pipeline& add(std::shared_ptr<const Pass> pass);
+  /// Appends every pass of `other` (shared, not copied).
   Pipeline& then(const Pipeline& other);
   /// Appends a functional-hashing pass by paper acronym ("TF", "bfd", ...).
   Pipeline& rewrite(const std::string& variant);
@@ -104,9 +128,15 @@ public:
   static Pipeline interleave(std::initializer_list<Pipeline> phases);
   static Pipeline interleave(const std::vector<Pipeline>& phases);
 
-  /// Parses the flow-script grammar above.  Throws std::invalid_argument
-  /// with the offending token on malformed scripts.
+  /// Parses the flow-script grammar above: from_tree(parse_script(script)).
+  /// Throws std::invalid_argument with the offending token on malformed
+  /// scripts.
   static Pipeline parse(const std::string& script);
+
+  /// The pipeline a syntax tree describes, with every convergence round cap
+  /// clamped to at most `max_rounds` (the autotuner's budgeted rungs).
+  static Pipeline from_tree(const ScriptTree& tree,
+                            uint32_t max_rounds = UINT32_MAX);
 
   // --- execution -------------------------------------------------------------
 
@@ -142,12 +172,9 @@ public:
   /// to p (the round trip is what deduplication, reporting and reproducing a
   /// tuned flow rely on — see autotune.hpp).
   std::string to_script() const;
-  /// Alias of to_script(), kept for symmetry with the standard conversion
-  /// idiom.
-  std::string to_string() const { return to_script(); }
 
 private:
-  std::vector<std::unique_ptr<Pass>> passes_;
+  std::vector<std::shared_ptr<const Pass>> passes_;
 };
 
 }  // namespace mighty::flow

@@ -92,14 +92,15 @@ void Session::set_threads(uint32_t threads) {
   threads = std::min(threads, util::ThreadPool::kMaxParallelism);
   if (threads == params_.threads) return;
   params_.threads = threads;
-  executor_.reset();  // re-materializes lazily at the new width
+  pool_.reset();  // re-materializes lazily at the new width
 }
 
-Executor& Session::executor() {
-  if (!executor_ || executor_->threads() != threads()) {
-    executor_ = std::make_unique<Executor>(threads());
+util::ThreadPool* Session::worker_pool() {
+  if (threads() == 1) return nullptr;
+  if (!pool_ || pool_->parallelism() != threads()) {
+    pool_ = std::make_unique<util::ThreadPool>(threads());
   }
-  return *executor_;
+  return pool_.get();
 }
 
 }  // namespace mighty::flow

@@ -7,9 +7,9 @@
 
 #include "exact/database.hpp"
 #include "exact/exact_synthesis.hpp"
-#include "flow/executor.hpp"
 #include "opt/oracle.hpp"
 #include "util/mutex.hpp"
+#include "util/thread_pool.hpp"
 
 /// \file session.hpp
 /// \brief Shared state for optimization flows.
@@ -22,7 +22,7 @@
 /// through flow::BatchRunner, across every network of a corpus: the oracle
 /// is concurrency-safe, so many networks in flight share one warm cache.
 ///
-/// Lazy initialization (database(), oracle(), executor()) is single-threaded
+/// Lazy initialization (database(), oracle(), worker_pool()) is single-threaded
 /// by design; materialize before handing the session to concurrent tasks
 /// (BatchRunner does this itself).
 
@@ -129,18 +129,15 @@ public:
 
   /// Sets the parallelism of subsequent pipeline runs (0 is treated as 1).
   /// Shard-parallel passes produce bit-identical networks for every value,
-  /// so this is purely a throughput knob.  Rebuilds the executor on change.
+  /// so this is purely a throughput knob.  Rebuilds the worker pool on change.
   void set_threads(uint32_t threads);
-  /// Effective parallelism.  Clamped exactly as the executor's pool clamps,
-  /// also for widths smuggled in through SessionParams — otherwise executor()
+  /// Effective parallelism.  Clamped exactly as util::ThreadPool clamps, also
+  /// for widths smuggled in through SessionParams — otherwise worker_pool()
   /// would see a perpetual mismatch and respawn its pool on every pass.
   uint32_t threads() const {
     const uint32_t t = params_.threads == 0 ? 1 : params_.threads;
     return std::min(t, util::ThreadPool::kMaxParallelism);
   }
-
-  /// The session's parallel execution engine, created on first use.
-  Executor& executor();
 
   // --- between-pass invariant checking ----------------------------------------
 
@@ -150,11 +147,13 @@ public:
   void set_check_level(CheckLevel level) { check_level_ = level; }
   CheckLevel check_level() const { return check_level_; }
 
-  /// Pool for shard-parallel passes: nullptr at parallelism 1, so passes
-  /// take the inline path without materializing an executor.
-  util::ThreadPool* worker_pool() {
-    return threads() > 1 ? executor().worker_pool() : nullptr;
-  }
+  /// The worker pool that shard-parallel passes share for the session's
+  /// lifetime, created on first use so repeated runs never pay thread
+  /// startup; nullptr at parallelism 1, where the drivers take their inline
+  /// path through the very same sharded algorithms (bit-identical results,
+  /// see shard.hpp).  A batch run puts its (network, pass) tasks on the same
+  /// pool the passes' FFR shards fan out over.
+  util::ThreadPool* worker_pool();
 
 private:
   /// Merges cache_path() into the materialized oracle, warning on stderr
@@ -171,7 +170,7 @@ private:
 #endif
   std::optional<exact::Database> database_;
   std::optional<opt::ReplacementOracle> oracle_;
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace mighty::flow

@@ -7,16 +7,16 @@ namespace mighty::io {
 namespace {
 
 std::string signal_expr(const mig::Mig& mig, mig::Signal s) {
-  std::string base;
   if (mig.is_constant(s.index())) {
     return s.is_complemented() ? "1'b1" : "1'b0";
   }
-  if (mig.is_pi(s.index())) {
-    base = "x" + std::to_string(mig.pi_index(s.index()));
-  } else {
-    base = "n" + std::to_string(s.index());
-  }
-  return s.is_complemented() ? "~" + base : base;
+  // Built by append, not operator+(const char*, string&&): that overload
+  // trips a GCC 12 -Wrestrict false positive.
+  const bool pi = mig.is_pi(s.index());
+  std::string expr = s.is_complemented() ? "~" : "";
+  expr += pi ? 'x' : 'n';
+  expr += std::to_string(pi ? mig.pi_index(s.index()) : s.index());
+  return expr;
 }
 
 }  // namespace

@@ -305,5 +305,74 @@ TEST(AutotuneTest, ProductObjectiveIsPerNetworkNotCorpusWide) {
   EXPECT_NE(expected, corpus_wide);  // the distinction is observable
 }
 
+// --- pinned searches -----------------------------------------------------------
+
+/// A search's deterministic outcome as text: every evaluated script with its
+/// objective, size and depth, then the search counters.  Mutation sites are
+/// the seeds' literal syntax trees, so any change to how a script is parsed
+/// into the tree, mutated or canonicalized moves a line.
+std::string pinned_outcome(const TuneReport& report) {
+  std::ostringstream os;
+  for (const auto& entry : report.evaluated) {
+    os << entry.script << ' ' << entry.objective << ' ' << entry.size << ' '
+       << entry.depth << '\n';
+  }
+  os << "candidates " << report.candidates_generated << " duplicates "
+     << report.duplicates_pruned << " invalid " << report.invalid_rejected
+     << " evaluations " << report.evaluations << '\n';
+  return os.str();
+}
+
+TEST(AutotunePinTest, DefaultSeedsMatchRecordedSearch) {
+  auto session = make_session();
+  TuneReport report;
+  Autotuner(session, small_params()).tune(small_corpus(), &report);
+  EXPECT_EQ(pinned_outcome(report),
+            "(TF;BF;size)* 247 247 27\n"
+            "BF;size 247 247 26\n"
+            "(TF;BFD;size)* 248 248 22\n"
+            "candidates 10 duplicates 1 invalid 0 evaluations 14\n");
+}
+
+TEST(AutotunePinTest, LiteralSeedsMatchRecordedSearch) {
+  // Seeds whose literal trees differ from their canonical forms: an
+  // unmodified group, a parenthesized single word, nested modifiers and a
+  // repeat of one.
+  auto session = make_session();
+  TuneParams params = small_params();
+  params.seed_scripts = {"(TF;size);BFD", "(TF)*<3", "(BF*2)*3", "TF*1"};
+  TuneReport report;
+  Autotuner(session, params).tune(small_corpus(), &report);
+  EXPECT_EQ(pinned_outcome(report),
+            "(BF*2)*3 247 247 28\n"
+            "(TF;BF;size)* 247 247 27\n"
+            "(TF;BFD;size)* 248 248 22\n"
+            "candidates 10 duplicates 0 invalid 0 evaluations 15\n");
+}
+
+TEST(AutotunePinTest, LongerLiteralSearchMatchesRecordedSearch) {
+  // More generations over a larger pool reach every mutation operator.
+  auto session = make_session();
+  TuneParams params = small_params(Objective::product);
+  params.population = 12;
+  params.generations = 3;
+  params.seed_scripts = {"(TF;size);BFD", "(TF)*<3", "(BF*2)*3", "TF*1"};
+  TuneReport report;
+  Autotuner(session, params).tune(small_corpus(), &report);
+  EXPECT_EQ(pinned_outcome(report),
+            "(((TF;(BFD;size)*)*)*)* 2728 248 22\n"
+            "((TF;(BFD;TF)*)*)* 2728 248 22\n"
+            "((TF;(BFD;TFD)*)*)* 2728 248 22\n"
+            "((TF;(BFD;size)*)*)* 2728 248 22\n"
+            "(TF*;size)*;BFD 2728 248 22\n"
+            "(TF;(BFD;TF)*)* 2728 248 22\n"
+            "(TF;(BFD;size)*)* 2728 248 22\n"
+            "(TF;BFD)* 2728 248 22\n"
+            "(TF;BFD;size)* 2728 248 22\n"
+            "TF*2;size;BFD 2728 248 22\n"
+            "TF*;size;BFD 2728 248 22\n"
+            "candidates 39 duplicates 6 invalid 0 evaluations 62\n");
+}
+
 }  // namespace
 }  // namespace mighty::flow

@@ -234,9 +234,6 @@ public:
     report.passes.push_back(std::move(entry));
     return mig;
   }
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<ExplodingPass>(pis_);
-  }
 
 private:
   uint32_t pis_;
@@ -276,7 +273,7 @@ TEST(BatchFlowTest, SharedOracleAmortizesSynthesisAcrossNetworks) {
   corpus.add("adder8", algebra::depth_optimize(gen::make_adder_n(8)));
   corpus.add("adder12", algebra::depth_optimize(gen::make_adder_n(12)));
   const auto pipeline = Pipeline::parse("TF5");
-  EXPECT_EQ(pipeline.to_string(), "TF5");  // the 5-cut word round-trips
+  EXPECT_EQ(pipeline.to_script(), "TF5");  // the 5-cut word round-trips
 
   uint64_t cold_synthesized = 0;
   std::vector<mig::Mig> cold_results;

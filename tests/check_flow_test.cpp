@@ -47,8 +47,8 @@ TEST(CheckFlowTest, FullCheckLevelHoldsAcrossGeneratorCorpus) {
 
 TEST(CheckFlowTest, CheckScriptWordRunsAsAPass) {
   const auto pipeline = Pipeline::parse("TF;check;size");
-  EXPECT_EQ(pipeline.to_string(), "TF;check;size");
-  EXPECT_EQ(Pipeline::parse(pipeline.to_string()).to_string(), "TF;check;size");
+  EXPECT_EQ(pipeline.to_script(), "TF;check;size");
+  EXPECT_EQ(Pipeline::parse(pipeline.to_script()).to_script(), "TF;check;size");
 
   auto session = make_session();
   session.set_check_level(CheckLevel::off);  // the explicit pass still checks

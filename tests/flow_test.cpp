@@ -32,39 +32,39 @@ Session make_session() { return Session(db()); }
 TEST(FlowParseTest, SingleVariant) {
   const auto p = Pipeline::parse("TF");
   EXPECT_EQ(p.num_passes(), 1u);
-  EXPECT_EQ(p.to_string(), "TF");
+  EXPECT_EQ(p.to_script(), "TF");
 }
 
 TEST(FlowParseTest, CaseAndWhitespaceInsensitive) {
-  EXPECT_EQ(Pipeline::parse("  tf ;\tBfD * 3 ; size ").to_string(), "TF;BFD*3;size");
-  EXPECT_EQ(Pipeline::parse("DEPTH;Map").to_string(), "depth;map");
+  EXPECT_EQ(Pipeline::parse("  tf ;\tBfD * 3 ; size ").to_script(), "TF;BFD*3;size");
+  EXPECT_EQ(Pipeline::parse("DEPTH;Map").to_script(), "depth;map");
 }
 
 TEST(FlowParseTest, GroupsRepeatsAndConvergence) {
-  EXPECT_EQ(Pipeline::parse("(TF;size)*;map4").to_string(), "(TF;size)*;map4");
-  EXPECT_EQ(Pipeline::parse("(BFD;size)*2").to_string(), "(BFD;size)*2");
-  EXPECT_EQ(Pipeline::parse("TF*").to_string(), "TF*");
-  EXPECT_EQ(Pipeline::parse("((T;B)*2;size)*3").to_string(), "((T;B)*2;size)*3");
-  EXPECT_EQ(Pipeline::parse("(BF;size)*<4").to_string(), "(BF;size)*<4");
-  EXPECT_EQ(Pipeline::parse("TF*<16").to_string(), "TF*");  // the default cap
+  EXPECT_EQ(Pipeline::parse("(TF;size)*;map4").to_script(), "(TF;size)*;map4");
+  EXPECT_EQ(Pipeline::parse("(BFD;size)*2").to_script(), "(BFD;size)*2");
+  EXPECT_EQ(Pipeline::parse("TF*").to_script(), "TF*");
+  EXPECT_EQ(Pipeline::parse("((T;B)*2;size)*3").to_script(), "((T;B)*2;size)*3");
+  EXPECT_EQ(Pipeline::parse("(BF;size)*<4").to_script(), "(BF;size)*<4");
+  EXPECT_EQ(Pipeline::parse("TF*<16").to_script(), "TF*");  // the default cap
 }
 
 TEST(FlowParseTest, NestedCombinatorsRoundTrip) {
   const auto nested = Pipeline().rewrite("BF").until_convergence().repeat(3);
-  EXPECT_EQ(nested.to_string(), "(BF*)*3");
-  EXPECT_EQ(Pipeline::parse(nested.to_string()).to_string(), nested.to_string());
+  EXPECT_EQ(nested.to_script(), "(BF*)*3");
+  EXPECT_EQ(Pipeline::parse(nested.to_script()).to_script(), nested.to_script());
 
   const auto stacked = Pipeline().rewrite("BF").repeat(2).repeat(3);
-  EXPECT_EQ(stacked.to_string(), "(BF*2)*3");
-  EXPECT_EQ(Pipeline::parse(stacked.to_string()).to_string(), stacked.to_string());
+  EXPECT_EQ(stacked.to_script(), "(BF*2)*3");
+  EXPECT_EQ(Pipeline::parse(stacked.to_script()).to_script(), stacked.to_script());
 
   const auto capped = Pipeline().rewrite("TF").size_opt().until_convergence(4);
-  EXPECT_EQ(capped.to_string(), "(TF;size)*<4");
-  EXPECT_EQ(Pipeline::parse(capped.to_string()).to_string(), capped.to_string());
+  EXPECT_EQ(capped.to_script(), "(TF;size)*<4");
+  EXPECT_EQ(Pipeline::parse(capped.to_script()).to_script(), capped.to_script());
 }
 
 TEST(FlowParseTest, EmptyItemsAreSkipped) {
-  EXPECT_EQ(Pipeline::parse("TF;;BF;").to_string(), "TF;BF");
+  EXPECT_EQ(Pipeline::parse("TF;;BF;").to_script(), "TF;BF");
   EXPECT_TRUE(Pipeline::parse("").empty());
   EXPECT_TRUE(Pipeline::parse(" ; ; ").empty());
 }
@@ -72,8 +72,8 @@ TEST(FlowParseTest, EmptyItemsAreSkipped) {
 TEST(FlowParseTest, RoundTripsThroughToString) {
   for (const auto* script :
        {"TF", "TF;BFD", "(TF;size)*;map", "B*4;depth;map4", "TFD;(BD;size)*2"}) {
-    const auto once = Pipeline::parse(script).to_string();
-    EXPECT_EQ(Pipeline::parse(once).to_string(), once) << script;
+    const auto once = Pipeline::parse(script).to_script();
+    EXPECT_EQ(Pipeline::parse(once).to_script(), once) << script;
   }
 }
 
@@ -183,7 +183,7 @@ TEST(FlowParseTest, ToScriptRoundTripsEveryProduction) {
     }
   }
   // to_string stays an alias of to_script.
-  EXPECT_EQ(Pipeline::parse("(TF;size)*;map").to_string(),
+  EXPECT_EQ(Pipeline::parse("(TF;size)*;map").to_script(),
             Pipeline::parse("(TF;size)*;map").to_script());
 }
 
@@ -247,16 +247,16 @@ TEST(FlowSessionTest, OracleMaterializesLazilyAndIsShared) {
 TEST(FlowParseTest, CacheDirectiveParsesAndRoundTrips) {
   const auto p = Pipeline::parse("cache:/tmp/c5.db; TF5; size");
   EXPECT_EQ(p.num_passes(), 3u);
-  EXPECT_EQ(p.to_string(), "cache:/tmp/c5.db;TF5;size");
+  EXPECT_EQ(p.to_script(), "cache:/tmp/c5.db;TF5;size");
   EXPECT_TRUE(p.mutates_session());
   // The path keeps its case even though pass words are case-insensitive.
-  EXPECT_EQ(Pipeline::parse("CACHE:/tmp/MixedCase.db").to_string(),
+  EXPECT_EQ(Pipeline::parse("CACHE:/tmp/MixedCase.db").to_script(),
             "cache:/tmp/MixedCase.db");
   EXPECT_THROW(Pipeline::parse("cache"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("cache:"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("cache:;TF"), std::invalid_argument);
   // '*' is a repeat suffix, never part of the filename.
-  EXPECT_EQ(Pipeline::parse("cache:/tmp/x*2").to_string(), "cache:/tmp/x*2");
+  EXPECT_EQ(Pipeline::parse("cache:/tmp/x*2").to_script(), "cache:/tmp/x*2");
   EXPECT_EQ(Pipeline::parse("cache:/tmp/x*2").num_passes(), 1u);  // a repeat group
 }
 
@@ -462,7 +462,7 @@ TEST(FlowPipelineTest, InterleaveRoundRobinsPasses) {
   a.rewrite("TF").rewrite("TD");
   Pipeline b;
   b.size_opt();
-  EXPECT_EQ(Pipeline::interleave({a, b}).to_string(), "TF;size;TD");
+  EXPECT_EQ(Pipeline::interleave({a, b}).to_script(), "TF;size;TD");
 }
 
 // --- stats aggregation -------------------------------------------------------

@@ -180,17 +180,16 @@ TEST(ParallelFlowTest, WorkerPoolMaterializesOnlyWhenParallel) {
   session.set_threads(4);
   ASSERT_NE(session.worker_pool(), nullptr);
   EXPECT_EQ(session.worker_pool()->parallelism(), 4u);
-  EXPECT_EQ(session.executor().threads(), 4u);
   session.set_threads(0);  // clamps to 1
   EXPECT_EQ(session.threads(), 1u);
   EXPECT_EQ(session.worker_pool(), nullptr);
 }
 
 TEST(ParallelFlowTest, ParallelDirectiveParsesAndRoundTrips) {
-  EXPECT_EQ(Pipeline::parse("parallel:4").to_string(), "parallel:4");
-  EXPECT_EQ(Pipeline::parse("parallel4;TF").to_string(), "parallel:4;TF");
-  EXPECT_EQ(Pipeline::parse(" PARALLEL : 2 ; size ").to_string(), "parallel:2;size");
-  EXPECT_EQ(Pipeline().parallel(8).to_string(), "parallel:8");
+  EXPECT_EQ(Pipeline::parse("parallel:4").to_script(), "parallel:4");
+  EXPECT_EQ(Pipeline::parse("parallel4;TF").to_script(), "parallel:4;TF");
+  EXPECT_EQ(Pipeline::parse(" PARALLEL : 2 ; size ").to_script(), "parallel:2;size");
+  EXPECT_EQ(Pipeline().parallel(8).to_script(), "parallel:8");
   EXPECT_THROW(Pipeline::parse("parallel"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("parallel:0"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("parallel:9999"), std::invalid_argument);
