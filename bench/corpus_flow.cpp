@@ -84,11 +84,12 @@ int main(int argc, char** argv) {
   // cache instead of the SAT solver.  (answered/queries is a pure function
   // of the queried truth tables, identical warm or cold.)
   double cold_rate_sum = 0.0;
-  uint64_t cold_lookups = 0, cold_synthesized = 0, cold_conflicts = 0;
+  uint64_t cold_lookups = 0, cold_synthesized = 0, cold_constructed = 0, cold_conflicts = 0;
   for (const auto& report : cold) {
     cold_rate_sum += report.cache5_reuse_rate();
     cold_lookups += report.oracle_cache5_hits + report.oracle_synthesized;
     cold_synthesized += report.oracle_synthesized;
+    cold_constructed += report.oracle_constructed;
     cold_conflicts += report.oracle_conflicts;
   }
   const double cold_mean_rate = corpus.empty() ? 1.0 : cold_rate_sum / corpus.size();
@@ -96,9 +97,11 @@ int main(int argc, char** argv) {
 
   printf("\n%-28s %10s %10s\n", "", "warm", "cold");
   printf("%-28s %10.2f %10.2f\n", "wall time [s]", warm.seconds, cold_seconds);
-  printf("%-28s %10llu %10llu\n", "5-input syntheses",
+  printf("%-28s %10llu %10llu  (%llu / %llu by construction)\n", "5-input syntheses",
          static_cast<unsigned long long>(warm.oracle_synthesized),
-         static_cast<unsigned long long>(cold_synthesized));
+         static_cast<unsigned long long>(cold_synthesized),
+         static_cast<unsigned long long>(warm.oracle_constructed),
+         static_cast<unsigned long long>(cold_constructed));
   printf("%-28s %10llu %10llu\n", "5-input SAT conflicts",
          static_cast<unsigned long long>(warm.oracle_conflicts),
          static_cast<unsigned long long>(cold_conflicts));

@@ -547,14 +547,15 @@ CheckReport validate_wave_order(const mig::Mig& m, const ffr::FfrPartition& part
 
 CheckReport validate_report(const flow::FlowReport& report) {
   CheckReport out;
-  uint64_t queries = 0, answered = 0, cache5 = 0, synthesized = 0, failures = 0,
-           conflicts = 0;
+  uint64_t queries = 0, answered = 0, cache5 = 0, synthesized = 0, constructed = 0,
+           failures = 0, conflicts = 0;
   for (uint32_t i = 0; i < report.passes.size(); ++i) {
     const auto& p = report.passes[i];
     queries += p.oracle_queries;
     answered += p.oracle_answered;
     cache5 += p.oracle_cache5_hits;
     synthesized += p.oracle_synthesized;
+    constructed += p.oracle_constructed;
     failures += p.oracle_failures;
     conflicts += p.oracle_conflicts;
     if (p.oracle_answered > p.oracle_queries) {
@@ -575,6 +576,13 @@ CheckReport validate_report(const flow::FlowReport& report) {
                   " of " + std::to_string(p.oracle_cache5_hits + p.oracle_synthesized) +
                   " 5-input lookups");
     }
+    // Likewise a constructed answer settles a synthesis or a resumed search.
+    if (p.oracle_constructed > p.oracle_cache5_hits + p.oracle_synthesized) {
+      out.add(Code::report_pass_inconsistent, i,
+              "pass '" + p.name + "' constructed " + std::to_string(p.oracle_constructed) +
+                  " of " + std::to_string(p.oracle_cache5_hits + p.oracle_synthesized) +
+                  " 5-input lookups");
+    }
   }
   const auto mismatch = [&](const char* name, uint64_t total, uint64_t sum) {
     if (total != sum) {
@@ -587,6 +595,7 @@ CheckReport validate_report(const flow::FlowReport& report) {
   mismatch("oracle_answered", report.oracle_answered, answered);
   mismatch("oracle_cache5_hits", report.oracle_cache5_hits, cache5);
   mismatch("oracle_synthesized", report.oracle_synthesized, synthesized);
+  mismatch("oracle_constructed", report.oracle_constructed, constructed);
   mismatch("oracle_failures", report.oracle_failures, failures);
   mismatch("oracle_conflicts", report.oracle_conflicts, conflicts);
   return out;
@@ -609,6 +618,8 @@ CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTall
           tally.cache5_hits.load(std::memory_order_relaxed));
   compare("synthesized", report.oracle_synthesized,
           tally.synthesized.load(std::memory_order_relaxed));
+  compare("constructed", report.oracle_constructed,
+          tally.constructed.load(std::memory_order_relaxed));
   compare("failures", report.oracle_failures,
           tally.failures.load(std::memory_order_relaxed));
   compare("conflicts", report.oracle_conflicts,

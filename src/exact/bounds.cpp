@@ -33,11 +33,35 @@ mig::Signal build_shannon(const Database& db, const tt::TruthTable& f, mig::Mig&
   return mig.create_or(low, high);
 }
 
-uint32_t shannon_size(const Database& db, const tt::TruthTable& f) {
+MigChain shannon_chain(const Database& db, const tt::TruthTable& f) {
   mig::Mig m;
   const auto leaves = m.create_pis(f.num_vars());
   m.create_po(build_shannon(db, f, m, leaves));
-  return m.count_live_gates();
+  // Read the live cone back in node order, which is topological: node 0 is
+  // the constant (ref 0), node i <= n is input x_i (ref i), and the m-th
+  // live gate becomes step m (ref n + 1 + m).
+  MigChain chain;
+  chain.num_vars = f.num_vars();
+  const auto live = m.live_mask();
+  std::vector<uint32_t> ref(m.num_nodes());
+  const auto lit = [&ref](mig::Signal s) {
+    return make_ref_lit(ref[s.index()], s.is_complemented());
+  };
+  for (uint32_t n = 1; n < m.num_nodes(); ++n) {
+    if (!m.is_gate(n)) {
+      ref[n] = n;
+    } else if (live[n]) {
+      ref[n] = 1 + chain.num_vars + chain.size();
+      const auto& fanins = m.fanins(n);
+      chain.steps.push_back({{lit(fanins[0]), lit(fanins[1]), lit(fanins[2])}});
+    }
+  }
+  chain.output = lit(m.output(0));
+  return chain;
+}
+
+uint32_t shannon_size(const Database& db, const tt::TruthTable& f) {
+  return shannon_chain(db, f).size();
 }
 
 uint32_t size_lower_bound(const Database& db, const tt::TruthTable& f) {

@@ -17,7 +17,9 @@
 ///     f = <1 <0 !x f_x0> <0 x f_x1>>
 /// costs 3 gates per variable elimination (2 C(n) + 3 recurrence), bottoming
 /// out at the exhaustive 4-variable database where the worst class needs 7
-/// gates.  `build_shannon` realizes exactly this construction.
+/// gates.  `build_shannon` realizes exactly this construction, and
+/// `shannon_chain` returns it as a chain: an upper bound on C(f) that meets
+/// `size_lower_bound` for most 5-input classes that rewriting queries.
 
 namespace mighty::exact {
 
@@ -26,14 +28,21 @@ constexpr uint64_t theorem2_bound(uint32_t n) {
   return 10 * ((uint64_t{1} << (n - 4)) - 1) + 7;
 }
 
-/// Builds f over `leaves` by Shannon expansion down to the 4-variable
-/// database.  Returns the output signal; gate count can be read from the
-/// target network.
+/// Builds f over `leaves` by Shannon expansion on the top variable, down to
+/// the 4-variable database.  Returns the output signal; gate count can be
+/// read from the target network.
 mig::Signal build_shannon(const Database& db, const tt::TruthTable& f, mig::Mig& mig,
                           const std::vector<mig::Signal>& leaves);
 
-/// Convenience: builds a fresh single-output MIG for f and returns its live
-/// gate count.
+/// The Theorem-2 witness for f as a chain: `build_shannon` into a temporary
+/// MIG (whose structural hashing shares common gates of the two cofactors),
+/// read back as the output's live cone in topological order.  Its size is
+/// an upper bound on C(f); where it meets `size_lower_bound` it is a
+/// proven minimum, which is how the 5-input oracle answers most classes
+/// without SAT.
+MigChain shannon_chain(const Database& db, const tt::TruthTable& f);
+
+/// `shannon_chain(db, f).size()`.
 uint32_t shannon_size(const Database& db, const tt::TruthTable& f);
 
 /// A lower bound on the minimum MIG size C(f) of f (up to 5 variables),

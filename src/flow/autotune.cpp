@@ -123,6 +123,9 @@ bool mutate_once(ScriptTree& root, const Vocabulary& vocabulary,
       if (seq.empty()) return false;
       const size_t begin = rng(seq.size());
       const size_t len = 1 + rng(seq.size() - begin);
+      // A lone convergence item is its own fixed point: "(X*)*" only repeats
+      // X*'s final, rolled-back round, the same flow at a higher cost.
+      if (len == 1 && seq[begin].modifier == Modifier::converge) return false;
       ScriptItem group;
       group.modifier = Modifier::converge;
       group.count = max_cap;

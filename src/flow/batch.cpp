@@ -143,7 +143,7 @@ void BatchReport::finalize() {
   size_before = size_after = 0;
   depth_before = depth_after = 0;
   oracle_queries = oracle_answered = oracle_cache5_hits = 0;
-  oracle_synthesized = oracle_failures = oracle_conflicts = 0;
+  oracle_synthesized = oracle_constructed = oracle_failures = oracle_conflicts = 0;
   for (const auto& network : networks) {
     if (!network.error.empty()) continue;
     size_before += network.flow.size_before;
@@ -154,6 +154,7 @@ void BatchReport::finalize() {
     oracle_answered += network.flow.oracle_answered;
     oracle_cache5_hits += network.flow.oracle_cache5_hits;
     oracle_synthesized += network.flow.oracle_synthesized;
+    oracle_constructed += network.flow.oracle_constructed;
     oracle_failures += network.flow.oracle_failures;
     oracle_conflicts += network.flow.oracle_conflicts;
   }

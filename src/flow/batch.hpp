@@ -71,6 +71,7 @@ struct BatchReport {
   uint64_t oracle_answered = 0;
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
+  uint64_t oracle_constructed = 0;  ///< searches the Theorem-2 chain settled
   uint64_t oracle_failures = 0;
   uint64_t oracle_conflicts = 0;  ///< SAT conflicts the batch's syntheses spent
 

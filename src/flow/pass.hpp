@@ -46,6 +46,7 @@ struct PassStats {
   uint64_t oracle_answered = 0;
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
+  uint64_t oracle_constructed = 0;  ///< searches the Theorem-2 chain settled
   uint64_t oracle_failures = 0;
   uint64_t oracle_conflicts = 0;  ///< SAT conflicts the pass's syntheses spent
   double seconds = 0.0;
@@ -84,6 +85,8 @@ struct FlowReport {
   uint64_t oracle_answered = 0;
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
+  /// Searches answered by the Theorem-2 chain without SAT.
+  uint64_t oracle_constructed = 0;
   uint64_t oracle_failures = 0;
   /// SAT conflicts spent by the run's syntheses: what a conflict budget
   /// (RunControl::conflict_budget) is charged with.

@@ -47,6 +47,7 @@ public:
     entry.oracle_answered = stats.oracle_answered;
     entry.oracle_cache5_hits = stats.oracle_cache5_hits;
     entry.oracle_synthesized = stats.oracle_synthesized;
+    entry.oracle_constructed = stats.oracle_constructed;
     entry.oracle_failures = stats.oracle_failures;
     entry.oracle_conflicts = stats.oracle_conflicts;
     entry.seconds = stats.seconds;

@@ -321,12 +321,13 @@ uint64_t FlowReport::replacements() const {
 
 void FlowReport::accumulate_oracle_totals() {
   oracle_queries = oracle_answered = oracle_cache5_hits = 0;
-  oracle_synthesized = oracle_failures = oracle_conflicts = 0;
+  oracle_synthesized = oracle_constructed = oracle_failures = oracle_conflicts = 0;
   for (const auto& pass : passes) {
     oracle_queries += pass.oracle_queries;
     oracle_answered += pass.oracle_answered;
     oracle_cache5_hits += pass.oracle_cache5_hits;
     oracle_synthesized += pass.oracle_synthesized;
+    oracle_constructed += pass.oracle_constructed;
     oracle_failures += pass.oracle_failures;
     oracle_conflicts += pass.oracle_conflicts;
   }
@@ -349,7 +350,7 @@ const PassStats* FlowReport::last_mapping() const {
 
 std::string FlowReport::summary() const {
   std::string out;
-  char line[160];
+  char line[224];
   std::snprintf(line, sizeof(line), "%4s  %-10s %18s %13s %9s  %s\n", "#", "pass",
                 "size", "depth", "time[s]", "detail");
   out += line;
@@ -377,6 +378,16 @@ std::string FlowReport::summary() const {
                 static_cast<unsigned long long>(oracle_queries),
                 100.0 * oracle_hit_rate());
   out += line;
+  if (oracle_synthesized + oracle_cache5_hits > 0) {
+    std::snprintf(line, sizeof(line),
+                  "5-input: %llu syntheses (%llu by construction), %llu SAT conflicts, "
+                  "%llu cache hits\n",
+                  static_cast<unsigned long long>(oracle_synthesized),
+                  static_cast<unsigned long long>(oracle_constructed),
+                  static_cast<unsigned long long>(oracle_conflicts),
+                  static_cast<unsigned long long>(oracle_cache5_hits));
+    out += line;
+  }
   return out;
 }
 

@@ -115,11 +115,24 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
   }
   if (!resumed) bump(synthesized_, tally, &OracleTally::synthesized);
 
-  exact::SynthesisOptions options;
-  options.min_gates = first;
-  options.max_gates = last;
-  options.conflict_limit = params_.synthesis_conflict_limit;
-  const auto result = exact::synthesize_minimum_mig(rep, options);
+  // No chain has fewer than `first` gates, so a Theorem-2 chain of exactly
+  // `first` gates is a minimum: the satisfiable problem needs no search.
+  exact::SynthesisResult result;
+  auto shannon = exact::shannon_chain(db_, rep);
+  if (shannon.size() == first) {
+    if (shannon.simulate() != rep) {
+      throw std::logic_error("Shannon construction built a non-equivalent chain");
+    }
+    bump(constructed_, tally, &OracleTally::constructed);
+    result.status = exact::SynthesisStatus::success;
+    result.chain = std::move(shannon);
+  } else {
+    exact::SynthesisOptions options;
+    options.min_gates = first;
+    options.max_gates = last;
+    options.conflict_limit = params_.synthesis_conflict_limit;
+    result = exact::synthesize_minimum_mig(rep, options);
+  }
   const uint64_t conflicts = total_conflicts(result);
   bump(conflicts_, tally, &OracleTally::conflicts, conflicts);
 

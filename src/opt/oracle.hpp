@@ -41,14 +41,19 @@
 ///    (`exact::size_lower_bound`: cofactors, variable identifications and
 ///    first-gate elimination, read off the NPN-4 database), skipping gate
 ///    counts that cannot succeed, and a query bounded below it is answered
-///    without SAT.  Failures (timeouts, or no chain within max_gates) are
-///    cached as "no replacement" together with the budget that produced
-///    them, and are re-attempted when queried under a strictly larger
-///    conflict budget.  Chain, open bound, failure and size bound are all
-///    facts about the class, so one member's search serves every other
-///    member.  The representative is synthesized rather than the member
-///    that happens to ask first, so the cached chain does not depend on
-///    which of two concurrent shards arrives first.
+///    without SAT.  The other half is constructive: before the SAT call the
+///    representative's Theorem-2 chain (`exact::shannon_chain`) is built,
+///    and when it has exactly as many gates as the search's start it is a
+///    proven minimum, cached as an ordinary success with 0 conflicts.  SAT
+///    runs only for the classes where that chain is larger.  Failures
+///    (timeouts, or no chain within max_gates) are cached as "no
+///    replacement" together with the budget that produced them, and are
+///    re-attempted when queried under a strictly larger conflict budget.
+///    Chain, open bound, failure and size bound are all facts about the
+///    class, so one member's search serves every other member.  The
+///    representative is synthesized rather than the member that happens to
+///    ask first, so the cached chain does not depend on which of two
+///    concurrent shards arrives first.
 ///
 /// The 5-input cache persists to disk (save_cache / load_cache): a versioned
 /// text file alongside the NPN-4 database, one line per class — hex truth
@@ -85,6 +90,9 @@ struct OracleTally {
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> cache5_hits{0};
   std::atomic<uint64_t> synthesized{0};
+  /// Searches the Theorem-2 chain settled without SAT (a subset of the
+  /// syntheses and resumptions).
+  std::atomic<uint64_t> constructed{0};
   std::atomic<uint64_t> failures{0};
   /// SAT conflicts spent by the syntheses this scope ran.
   std::atomic<uint64_t> conflicts{0};
@@ -198,6 +206,11 @@ public:
   uint64_t synthesis_failures() const {
     return failures_.load(std::memory_order_relaxed);
   }
+  /// Searches answered by the Theorem-2 chain, which met the size lower
+  /// bound and so needed no SAT.
+  uint64_t constructed_count() const {
+    return constructed_.load(std::memory_order_relaxed);
+  }
 
   /// Query accounting across the oracle's lifetime (flows share one oracle
   /// over many passes, so these measure cross-pass cache effectiveness).
@@ -280,6 +293,7 @@ private:
   std::string persisted_path_ MIGHTY_GUARDED_BY(persist_mutex_);
   util::Mutex persist_mutex_{util::LockRank::oracle_persist};
   std::atomic<uint64_t> synthesized_{0};
+  std::atomic<uint64_t> constructed_{0};
   std::atomic<uint64_t> failures_{0};
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> answered_{0};

@@ -74,6 +74,7 @@ struct RewriteStats {
   uint64_t oracle_answered = 0;
   uint64_t oracle_cache5_hits = 0;
   uint64_t oracle_synthesized = 0;
+  uint64_t oracle_constructed = 0;  ///< searches settled without SAT
   uint64_t oracle_failures = 0;
   uint64_t oracle_conflicts = 0;  ///< SAT conflicts its syntheses spent
   double seconds = 0.0;

@@ -248,8 +248,8 @@ namespace {
 
 /// Smallest encoded PassStats record: an empty name (4), four u32 sizes and
 /// depths (16), two u64 effort counters (16), is_mapping (1), two u32 LUT
-/// figures (8), six u64 oracle counters (48) and the f64 seconds (8).
-constexpr size_t kMinPassBytes = 101;
+/// figures (8), seven u64 oracle counters (56) and the f64 seconds (8).
+constexpr size_t kMinPassBytes = 109;
 
 void write_pass_stats(Writer& w, const flow::PassStats& pass) {
   w.str(pass.name);
@@ -266,6 +266,7 @@ void write_pass_stats(Writer& w, const flow::PassStats& pass) {
   w.u64(pass.oracle_answered);
   w.u64(pass.oracle_cache5_hits);
   w.u64(pass.oracle_synthesized);
+  w.u64(pass.oracle_constructed);
   w.u64(pass.oracle_failures);
   w.u64(pass.oracle_conflicts);
   w.f64(pass.seconds);
@@ -287,6 +288,7 @@ flow::PassStats read_pass_stats(Reader& r) {
   pass.oracle_answered = r.u64();
   pass.oracle_cache5_hits = r.u64();
   pass.oracle_synthesized = r.u64();
+  pass.oracle_constructed = r.u64();
   pass.oracle_failures = r.u64();
   pass.oracle_conflicts = r.u64();
   pass.seconds = r.f64();
@@ -310,6 +312,7 @@ std::vector<uint8_t> encode_result_ok(const api::JobResult& result) {
   w.u64(report.oracle_answered);
   w.u64(report.oracle_cache5_hits);
   w.u64(report.oracle_synthesized);
+  w.u64(report.oracle_constructed);
   w.u64(report.oracle_failures);
   w.u64(report.oracle_conflicts);
   w.u32(static_cast<uint32_t>(report.passes.size()));
@@ -333,6 +336,7 @@ api::JobResult decode_result_ok(const std::vector<uint8_t>& payload) {
   report.oracle_answered = r.u64();
   report.oracle_cache5_hits = r.u64();
   report.oracle_synthesized = r.u64();
+  report.oracle_constructed = r.u64();
   report.oracle_failures = r.u64();
   report.oracle_conflicts = r.u64();
   const uint32_t num_passes = r.u32();

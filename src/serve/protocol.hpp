@@ -34,7 +34,7 @@
 
 namespace mighty::serve {
 
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Upper bound on a frame payload.  Generous for BLIF networks (16 MiB text)
 /// while keeping a hostile 4 GiB declared length from ever allocating.

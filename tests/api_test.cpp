@@ -24,6 +24,7 @@
 
 #include "gen/arith.hpp"
 #include "io/io.hpp"
+#include "mig/algebra/algebra.hpp"
 #include "opt/oracle.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -395,7 +396,9 @@ JobResult run_cold(const JobRequest& request, bool remote) {
 }
 
 TEST(ApiTest, ConflictBudgetIsChargedWithConflictsSpent) {
-  const auto request = request_for(gen::make_adder_n(8), "TF5; size");
+  // Depth-optimized max 4 queries a class (0017e8ff) whose Theorem-2 chain
+  // misses the size lower bound, so its synthesis still runs SAT.
+  const auto request = request_for(algebra::depth_optimize(gen::make_max_n(4)), "TF5; size");
   const JobResult unbudgeted = run_cold(request, false);
   ASSERT_EQ(unbudgeted.code, ErrorCode::ok) << unbudgeted.message;
   const uint64_t spent = unbudgeted.report.oracle_conflicts;

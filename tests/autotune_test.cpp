@@ -360,18 +360,17 @@ TEST(AutotunePinTest, LongerLiteralSearchMatchesRecordedSearch) {
   TuneReport report;
   Autotuner(session, params).tune(small_corpus(), &report);
   EXPECT_EQ(pinned_outcome(report),
-            "(((TF;(BFD;size)*)*)*)* 2728 248 22\n"
-            "((TF;(BFD;TF)*)*)* 2728 248 22\n"
-            "((TF;(BFD;TFD)*)*)* 2728 248 22\n"
-            "((TF;(BFD;size)*)*)* 2728 248 22\n"
+            "(TF*;(BFD;depth)*)* 2728 248 22\n"
             "(TF*;size)*;BFD 2728 248 22\n"
+            "(TF*;size)*;TF;BFD 2728 248 22\n"
             "(TF;(BFD;TF)*)* 2728 248 22\n"
+            "(TF;(BFD;depth)*)* 2728 248 22\n"
             "(TF;(BFD;size)*)* 2728 248 22\n"
             "(TF;BFD)* 2728 248 22\n"
             "(TF;BFD;size)* 2728 248 22\n"
             "TF*2;size;BFD 2728 248 22\n"
             "TF*;size;BFD 2728 248 22\n"
-            "candidates 39 duplicates 6 invalid 0 evaluations 62\n");
+            "candidates 39 duplicates 7 invalid 0 evaluations 58\n");
 }
 
 }  // namespace

@@ -108,6 +108,11 @@ TEST(BoundsTest, ShannonConstructionIsCorrect) {
     const auto pis = m.create_pis(5);
     m.create_po(build_shannon(db(), f, m, pis));
     EXPECT_EQ(mig::output_truth_tables(m)[0], f);
+    // The chain is the network's live cone, gate for gate.
+    const auto chain = shannon_chain(db(), f);
+    EXPECT_EQ(chain.simulate(), f);
+    EXPECT_EQ(chain.size(), m.count_live_gates());
+    EXPECT_EQ(chain.depth(), m.depth());
   }
 }
 
@@ -200,6 +205,19 @@ TEST(BoundsTest, SizeBoundOfFiveInputClasses) {
     const auto result = synthesize_minimum_mig(f, {});
     ASSERT_EQ(result.status, SynthesisStatus::success) << k.function;
     EXPECT_EQ(result.chain.size(), k.optimum) << k.function;
+  }
+}
+
+TEST(BoundsTest, ShannonChainMeetingTheBoundIsAMinimum) {
+  // Where the Theorem-2 chain has exactly size_lower_bound gates, unbounded
+  // exact synthesis (from one gate up) finds no smaller chain.
+  for (const char* hex : {"000007ff", "0000ffe0", "80000000", "000001bf"}) {
+    const auto f = tt::TruthTable::from_hex(5, hex);
+    const uint32_t bound = size_lower_bound(db(), f);
+    ASSERT_EQ(shannon_size(db(), f), bound) << hex;
+    const auto result = synthesize_minimum_mig(f, {});
+    ASSERT_EQ(result.status, SynthesisStatus::success) << hex;
+    EXPECT_EQ(result.chain.size(), bound) << hex;
   }
 }
 

@@ -283,8 +283,8 @@ TEST(RewritePinTest, OutputsMatchRecordedValues) {
       {"adder8 BF", {91, 9, 167, 210, 167, 167, 0, 0, 0, 0, 12693590724022952228ull}},
       {"adder8 BD", {95, 8, 651, 898, 651, 651, 0, 0, 0, 0, 14070568766545575256ull}},
       {"adder8 BFD", {94, 8, 167, 133, 167, 167, 0, 0, 0, 0, 13151592082685397916ull}},
-      {"adder8 T5", {89, 10, 132, 6, 124, 105, 6, 4, 1, 50299, 14431250827776537349ull}},
-      {"adder8 TF5", {90, 9, 136, 6, 130, 122, 1, 1, 0, 542, 14051247926007478343ull}},
+      {"adder8 T5", {89, 10, 133, 6, 125, 107, 6, 3, 0, 0, 5554637636926980645ull}},
+      {"adder8 TF5", {90, 9, 136, 6, 130, 122, 1, 1, 0, 0, 11430494189143716564ull}},
       {"multiplier4 TF", {124, 13, 187, 1, 184, 184, 0, 0, 0, 0, 6511280037447402090ull}},
       {"multiplier4 T", {123, 15, 177, 1, 174, 174, 0, 0, 0, 0, 8596201536367883243ull}},
       {"multiplier4 TFD", {124, 13, 187, 1, 184, 184, 0, 0, 0, 0, 6511280037447402090ull}},
@@ -294,7 +294,7 @@ TEST(RewritePinTest, OutputsMatchRecordedValues) {
       {"multiplier4 BD", {95, 11, 821, 4504, 821, 821, 0, 0, 0, 0, 1321038317738113077ull}},
       {"multiplier4 BFD", {124, 13, 199, 178, 199, 199, 0, 0, 0, 0, 7583627907058274943ull}},
       {"multiplier4 T5", {123, 15, 202, 1, 194, 174, 0, 0, 0, 0, 8596201536367883243ull}},
-      {"multiplier4 TF5", {119, 13, 213, 3, 203, 176, 2, 2, 0, 522, 11513190277039508679ull}},
+      {"multiplier4 TF5", {119, 13, 213, 3, 203, 176, 2, 2, 0, 0, 11513190277039508679ull}},
       {"sine4 TF", {191, 24, 310, 15, 288, 288, 0, 0, 0, 0, 14213371379983887034ull}},
       {"sine4 T", {177, 26, 294, 15, 267, 267, 0, 0, 0, 0, 5935254922793787889ull}},
       {"sine4 TFD", {213, 21, 358, 3, 352, 352, 0, 0, 0, 0, 15583960120735264879ull}},
@@ -303,8 +303,8 @@ TEST(RewritePinTest, OutputsMatchRecordedValues) {
       {"sine4 BF", {191, 28, 374, 480, 374, 374, 0, 0, 0, 0, 16494202232420059763ull}},
       {"sine4 BD", {12, 3, 1760, 14094, 1760, 1760, 0, 0, 0, 0, 12938151633766094514ull}},
       {"sine4 BFD", {212, 21, 374, 337, 374, 374, 0, 0, 0, 0, 7119282933898986482ull}},
-      {"sine4 T5", {173, 25, 322, 15, 293, 254, 9, 8, 2, 85778, 7540727146259969212ull}},
-      {"sine4 TF5", {189, 24, 344, 16, 313, 266, 10, 4, 0, 8588, 3288715824691914297ull}},
+      {"sine4 T5", {168, 25, 304, 15, 270, 242, 9, 7, 1, 57190, 6914458006095238829ull}},
+      {"sine4 TF5", {189, 24, 344, 16, 313, 266, 10, 4, 0, 0, 10691772396755152050ull}},
   };
   struct Network {
     const char* name;

@@ -140,6 +140,7 @@ TEST(OracleTest, BudgetExhaustionIsReportedAsNoReplacement) {
   while (f.support_size() < 5) f = tt::TruthTable(5, rng());
   EXPECT_FALSE(oracle.query(f).has_value());
   EXPECT_GE(oracle.synthesis_failures(), 1u);
+  EXPECT_EQ(oracle.constructed_count(), 0u) << "the search never reached SAT";
 }
 
 // --- persistent 5-input cache ------------------------------------------------
@@ -329,6 +330,7 @@ TEST(OracleCacheTest, BudgetUpgradeRetriesPersistedFailure) {
     ReplacementOracle oracle(db(), starved);
     EXPECT_FALSE(oracle.query(f).has_value());
     EXPECT_GE(oracle.synthesis_failures(), 1u);
+    EXPECT_EQ(oracle.constructed_count(), 0u);  // maj5: bound 4, Theorem-2 chain 10
     ASSERT_EQ(oracle.save_cache(path), 1u);
   }
 
@@ -801,6 +803,67 @@ TEST(OracleClassTest, VersionThreeKeysMustBeCanonical) {
   // The same line is a valid v2 record: raw keys migrate.
   EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n" + f.to_hex() + " fail 20000 30\n"),
             ReplacementOracle::CacheLoadStatus::loaded);
+}
+
+// --- classes the Theorem-2 chain settles --------------------------------------
+
+TEST(OracleConstructTest, ChainMeetingTheLowerBoundNeedsNoSat) {
+  const auto f = tt::TruthTable::from_hex(5, "000007ff");
+  const auto rep = npn::canonize(f).representative;
+  const uint32_t bound = exact::size_lower_bound(db(), rep);
+  ASSERT_EQ(exact::shannon_size(db(), rep), bound);
+
+  ReplacementOracle oracle(db(), five_input_params());
+  OracleTally tally;
+  const auto info = oracle.query(f, &tally);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, bound);
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+  EXPECT_EQ(oracle.constructed_count(), 1u);
+  EXPECT_EQ(oracle.sat_conflicts(), 0u);
+  EXPECT_EQ(tally.constructed.load(), 1u);
+  EXPECT_EQ(tally.conflicts.load(), 0u);
+
+  // Every member reads the one cached chain as its own function.
+  for (uint32_t salt = 0; salt < 4; ++salt) {
+    const auto g = other_member(f, salt);
+    ASSERT_TRUE(oracle.query(g).has_value());
+    mig::Mig m;
+    const auto pis = m.create_pis(5);
+    m.create_po(oracle.instantiate(g, m, pis));
+    EXPECT_EQ(mig::output_truth_tables(m)[0], g) << "member " << salt;
+  }
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+
+  // The constructed chain persists as an ordinary `ok` entry with 0 conflicts.
+  ScratchDir dir("mighty_oracle_construct");
+  const auto path = (dir.dir / "c5.db").string();
+  ASSERT_EQ(oracle.save_cache(path), 1u);
+  EXPECT_NE(file_text(path).find(rep.to_hex() + " ok 20000 0 "), std::string::npos)
+      << file_text(path);
+  ReplacementOracle loaded(db(), five_input_params());
+  ASSERT_EQ(loaded.load_cache(path).status, ReplacementOracle::CacheLoadStatus::loaded);
+  const auto again = loaded.query(f);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->size, info->size);
+  EXPECT_EQ(again->depth, info->depth);
+  EXPECT_EQ(again->input_depths, info->input_depths);
+  EXPECT_EQ(loaded.synthesized_count(), 0u);
+  EXPECT_EQ(instantiated_blif(loaded, f), instantiated_blif(oracle, f));
+}
+
+TEST(OracleConstructTest, ChainAboveTheLowerBoundLeavesTheSearchToSat) {
+  // 000001af: bound 4, Theorem-2 chain 5 gates, minimum 4.
+  const auto f = tt::TruthTable::from_hex(5, "000001af");
+  ASSERT_EQ(exact::size_lower_bound(db(), f), 4u);
+  ASSERT_GT(exact::shannon_size(db(), f), 4u);
+  ReplacementOracle oracle(db(), five_input_params());
+  const auto info = oracle.query(f);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, 4u);
+  EXPECT_EQ(oracle.synthesized_count(), 1u);
+  EXPECT_EQ(oracle.constructed_count(), 0u);
+  EXPECT_GT(oracle.sat_conflicts(), 0u);
 }
 
 TEST(OracleTest, FiveInputRewritingPreservesFunction) {

@@ -174,11 +174,13 @@ TEST(ProtocolTest, ResultRoundTripCarriesReport) {
   result.report.oracle_queries = 42;
   result.report.oracle_cache5_hits = 17;
   result.report.oracle_conflicts = 123456;
+  result.report.oracle_constructed = 9;
   flow::PassStats pass;
   pass.name = "TF";
   pass.size_before = 100;
   pass.size_after = 80;
   pass.oracle_conflicts = 123456;
+  pass.oracle_constructed = 9;
   result.report.passes.push_back(pass);
 
   const auto decoded = decode_result_ok(encode_result_ok(result));
@@ -190,10 +192,12 @@ TEST(ProtocolTest, ResultRoundTripCarriesReport) {
   EXPECT_EQ(decoded.report.oracle_queries, 42u);
   EXPECT_EQ(decoded.report.oracle_cache5_hits, 17u);
   EXPECT_EQ(decoded.report.oracle_conflicts, 123456u);
+  EXPECT_EQ(decoded.report.oracle_constructed, 9u);
   ASSERT_EQ(decoded.report.passes.size(), 1u);
   EXPECT_EQ(decoded.report.passes[0].name, "TF");
   EXPECT_EQ(decoded.report.passes[0].size_after, 80u);
   EXPECT_EQ(decoded.report.passes[0].oracle_conflicts, 123456u);
+  EXPECT_EQ(decoded.report.passes[0].oracle_constructed, 9u);
 }
 
 TEST(ProtocolTest, ManyMinimalPassRecordsAreNotAForgedCount) {
@@ -218,6 +222,7 @@ TEST(ProtocolTest, ResultWithAbsurdPassCountIsMalformed) {
   w.u32(0);
   w.f64(0.0);
   w.u64(0);  // oracle counters, conflicts last
+  w.u64(0);
   w.u64(0);
   w.u64(0);
   w.u64(0);
