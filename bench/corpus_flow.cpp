@@ -14,8 +14,8 @@
 // 5-cut cache reuse rate must be strictly higher than the mean of the cold
 // sessions' rates — synthesis one network already paid is a lookup for the
 // next.  The binary exits nonzero when that inequality fails.  The JSON
-// records each side's 5-input syntheses and SAT conflicts, which
-// tools/check_bench.py fails when they rise.
+// records each side's 5-input syntheses, SAT conflicts and synthesis
+// failures, which tools/check_bench.py fails when they rise.
 //
 // Flags: --corpus DIR (load every *.blif of DIR; default: the built-in
 // generator corpus, which `tools/make_corpus.cmake` exports to
@@ -85,12 +85,14 @@ int main(int argc, char** argv) {
   // of the queried truth tables, identical warm or cold.)
   double cold_rate_sum = 0.0;
   uint64_t cold_lookups = 0, cold_synthesized = 0, cold_constructed = 0, cold_conflicts = 0;
+  uint64_t cold_failures = 0;
   for (const auto& report : cold) {
     cold_rate_sum += report.cache5_reuse_rate();
     cold_lookups += report.oracle_cache5_hits + report.oracle_synthesized;
     cold_synthesized += report.oracle_synthesized;
     cold_constructed += report.oracle_constructed;
     cold_conflicts += report.oracle_conflicts;
+    cold_failures += report.oracle_failures;
   }
   const double cold_mean_rate = corpus.empty() ? 1.0 : cold_rate_sum / corpus.size();
   const double warm_rate = warm.cache5_reuse_rate();
@@ -105,6 +107,9 @@ int main(int argc, char** argv) {
   printf("%-28s %10llu %10llu\n", "5-input SAT conflicts",
          static_cast<unsigned long long>(warm.oracle_conflicts),
          static_cast<unsigned long long>(cold_conflicts));
+  printf("%-28s %10llu %10llu\n", "5-input synthesis failures",
+         static_cast<unsigned long long>(warm.oracle_failures),
+         static_cast<unsigned long long>(cold_failures));
   printf("%-28s %9.1f%% %9.1f%%  (corpus-wide vs. mean of cold sessions)\n",
          "5-cut cache reuse", 100.0 * warm_rate, 100.0 * cold_mean_rate);
   printf("equivalence filter: %s\n", all_equivalent ? "warm == cold" : "MISMATCH");
@@ -149,12 +154,14 @@ int main(int argc, char** argv) {
                     {"oracle_hit_rate", warm.oracle_hit_rate()},
                     {"syntheses", static_cast<double>(warm.oracle_synthesized)},
                     {"conflicts", static_cast<double>(warm.oracle_conflicts)},
+                    {"oracle_failures", static_cast<double>(warm.oracle_failures)},
                     {"seconds", warm.seconds}});
     corpus_record.variants.emplace_back(
         "cold", std::vector<std::pair<std::string, double>>{
                     {"mean_cache5_reuse_rate", cold_mean_rate},
                     {"syntheses", static_cast<double>(cold_synthesized)},
                     {"conflicts", static_cast<double>(cold_conflicts)},
+                    {"oracle_failures", static_cast<double>(cold_failures)},
                     {"seconds", cold_seconds}});
     records.push_back(std::move(corpus_record));
     if (bench::write_bench_json(json_path, "corpus_flow",

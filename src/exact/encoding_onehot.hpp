@@ -37,6 +37,10 @@ struct EncodeOptions {
   /// order).
   bool step_ordering = true;
   /// Every variable in the functional support must be selected by some gate.
+  /// Implied by the function constraint (a chain that reads no v cannot
+  /// depend on v), so it removes no solution, only changes how the solver
+  /// searches.  The 5-input oracle turns it off, which is faster on its
+  /// queries; the NPN-4 database build keeps it so its chains stay pinned.
   bool support_usage = true;
   /// Restrict every non-root gate to at most one complemented fanin.  Sound
   /// by self-duality: <!x !y !z> = !<xyz>, so a gate with two or more

@@ -131,6 +131,10 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
     options.min_gates = first;
     options.max_gates = last;
     options.conflict_limit = params_.synthesis_conflict_limit;
+    // The function constraint already forces every support variable to be
+    // read, so the support clause prunes nothing; on these searches it only
+    // slows the solver down.
+    options.encode.support_usage = false;
     result = exact::synthesize_minimum_mig(rep, options);
   }
   const uint64_t conflicts = total_conflicts(result);

@@ -45,7 +45,10 @@
 ///    representative's Theorem-2 chain (`exact::shannon_chain`) is built,
 ///    and when it has exactly as many gates as the search's start it is a
 ///    proven minimum, cached as an ordinary success with 0 conflicts.  SAT
-///    runs only for the classes where that chain is larger.  Failures
+///    runs only for the classes where that chain is larger, and without
+///    the encoding's support-usage clause (`exact::EncodeOptions`): the
+///    function constraint already forces every input to be read, and on
+///    cut functions the clause only slows the solver down.  Failures
 ///    (timeouts, or no chain within max_gates) are cached as "no
 ///    replacement" together with the budget that produced them, and are
 ///    re-attempted when queried under a strictly larger conflict budget.

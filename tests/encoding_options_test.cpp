@@ -1,9 +1,9 @@
 // Soundness of the exact-synthesis symmetry breaking: none of the search-
 // space reductions (operand ordering, all-gates-used, step ordering, polarity
-// normalization) may change the computed minimum -- they must only prune
-// redundant parts of the space.  Each option combination is checked against
-// the all-options-off reference on a set of 3-variable functions (where the
-// unpruned search is still fast).
+// normalization, support usage) may change the computed minimum -- they must
+// only prune redundant parts of the space.  Each option combination is
+// checked against the all-options-off reference on a set of 3-variable
+// functions (where the unpruned search is still fast).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@ struct OptionCombo {
   bool all_gates_used;
   bool step_ordering;
   bool polarity_normalization;
+  bool support_usage;
 };
 
 class EncodingOptionsTest : public ::testing::TestWithParam<int> {};
@@ -25,7 +26,7 @@ class EncodingOptionsTest : public ::testing::TestWithParam<int> {};
 TEST_P(EncodingOptionsTest, OptionsPreserveMinimum) {
   const int mask = GetParam();
   const OptionCombo combo{(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0,
-                          (mask & 8) != 0};
+                          (mask & 8) != 0, (mask & 16) != 0};
 
   // Reference: completely unpruned encoding; computed once and shared across
   // all option combinations.
@@ -35,6 +36,7 @@ TEST_P(EncodingOptionsTest, OptionsPreserveMinimum) {
     reference.encode.all_gates_used = false;
     reference.encode.step_ordering = false;
     reference.encode.polarity_normalization = false;
+    reference.encode.support_usage = false;
     std::vector<uint32_t> sizes;
     for (const auto& f : npn::enumerate_classes(3)) {
       const auto r = synthesize_minimum_mig(f, reference);
@@ -49,6 +51,7 @@ TEST_P(EncodingOptionsTest, OptionsPreserveMinimum) {
   tested.encode.all_gates_used = combo.all_gates_used;
   tested.encode.step_ordering = combo.step_ordering;
   tested.encode.polarity_normalization = combo.polarity_normalization;
+  tested.encode.support_usage = combo.support_usage;
 
   const auto classes = npn::enumerate_classes(3);
   for (size_t i = 0; i < classes.size(); ++i) {
@@ -61,10 +64,12 @@ TEST_P(EncodingOptionsTest, OptionsPreserveMinimum) {
   }
 }
 
-// Each pruning alone, none, and all together (the pairwise interactions are
-// covered by the database histogram check against the paper's Table I).
+// Each pruning alone, none, all together (the database build's default),
+// and the 5-input oracle's configuration: every pruning but the support
+// clause.  The pairwise interactions are covered by the database histogram
+// check against the paper's Table I.
 INSTANTIATE_TEST_SUITE_P(KeyCombos, EncodingOptionsTest,
-                         ::testing::Values(0, 1, 2, 4, 8, 15));
+                         ::testing::Values(0, 1, 2, 4, 8, 16, 31, 15));
 
 TEST(EncodingOptionsTest, FourVariableSpotCheckWithFullPruning) {
   // The paper's hardest class S_{0,2} must still come out at 7 gates with

@@ -866,6 +866,56 @@ TEST(OracleConstructTest, ChainAboveTheLowerBoundLeavesTheSearchToSat) {
   EXPECT_GT(oracle.sat_conflicts(), 0u);
 }
 
+// --- the 5-input search's encoding --------------------------------------------
+
+TEST(OracleSearchTest, SynthFiveSatClassesKeepTheirFourGateChains) {
+  // The two classes of the synth5 workload that reach SAT: 4-gate minima,
+  // found in 2671 conflicts without the support clause (9450 with it).
+  ReplacementOracle oracle(db(), five_input_params());
+  for (const char* hex : {"000001af", "0017e8ff"}) {
+    const auto f = tt::TruthTable::from_hex(5, hex);
+    const auto info = oracle.query(f);
+    ASSERT_TRUE(info.has_value()) << hex;
+    EXPECT_EQ(info->size, 4u) << hex;
+    mig::Mig m;
+    const auto pis = m.create_pis(5);
+    m.create_po(oracle.instantiate(f, m, pis));
+    EXPECT_EQ(mig::output_truth_tables(m)[0], f) << hex;
+  }
+  EXPECT_EQ(oracle.synthesized_count(), 2u);
+  EXPECT_EQ(oracle.constructed_count(), 0u);
+  EXPECT_EQ(oracle.synthesis_failures(), 0u);
+  EXPECT_LE(oracle.sat_conflicts(), 2671u);
+}
+
+TEST(OracleSearchTest, CorpusClassFitsTheDefaultBudgetAndPersists) {
+  // 00199b5d: a 5-gate class of the generator corpus.  With the support
+  // clause its search spent 41679 conflicts and failed the default 20000 per
+  // decision problem; without it the minimum comes back well inside.
+  const auto f = tt::TruthTable::from_hex(5, "00199b5d");
+  ASSERT_EQ(npn::canonize(f).representative, f);
+  ReplacementOracle oracle(db(), five_input_params());
+  const auto info = oracle.query(f);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, 5u);
+  EXPECT_EQ(oracle.synthesis_failures(), 0u);
+  EXPECT_GT(oracle.sat_conflicts(), 0u);
+  EXPECT_LT(oracle.sat_conflicts(), 20000u);
+
+  ScratchDir dir("mighty_oracle_search");
+  const auto path = (dir.dir / "c5.db").string();
+  ASSERT_EQ(oracle.save_cache(path), 1u);
+  EXPECT_NE(file_text(path).find(f.to_hex() + " ok 20000 "), std::string::npos)
+      << file_text(path);
+  ReplacementOracle loaded(db(), five_input_params());
+  ASSERT_EQ(loaded.load_cache(path).status, ReplacementOracle::CacheLoadStatus::loaded);
+  const auto again = loaded.query(f);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->size, 5u);
+  EXPECT_EQ(loaded.synthesized_count(), 0u);
+  EXPECT_EQ(instantiated_blif(loaded, f), instantiated_blif(oracle, f));
+}
+
 TEST(OracleTest, FiveInputRewritingPreservesFunction) {
   const auto baseline = algebra::depth_optimize(gen::make_adder_n(10));
   auto params = variant_params("TF");
