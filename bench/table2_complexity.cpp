@@ -2,7 +2,7 @@
 // distributions over the 222 NPN classes:
 //   C(f) combinational complexity (minimum gate count; from Table I's DB),
 //   L(f) minimum formula length (function-space dynamic programming),
-//   D(f) minimum depth (depth-constrained exact synthesis).
+//   D(f) minimum depth (function-space depth table).
 //
 // Paper reference (classes / functions):
 //   C: 2/10 2/80 5/640 18/3300 42/10352 117/40064 35/11058 1/32

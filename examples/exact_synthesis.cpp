@@ -13,6 +13,7 @@
 #include <exception>
 #include <string>
 
+#include "exact/depth_table.hpp"
 #include "exact/exact_synthesis.hpp"
 
 using namespace mighty;
@@ -79,12 +80,11 @@ int main(int argc, char** argv) {
   print_chain(size_result.chain);
 
   if (num_vars <= 4) {
-    const auto depth_result = exact::synthesize_minimum_depth_mig(f);
-    if (depth_result.status == exact::SynthesisStatus::success) {
-      printf("\nminimum depth: %u levels (%u gates as a tree)\n", depth_result.depth,
-             depth_result.chain.size());
-      print_chain(depth_result.chain);
-    }
+    const auto& table = exact::DepthTable::instance();
+    const auto witness = table.witness(f);
+    printf("\nminimum depth: %u levels (%u gates as a tree)\n", table.depth(f),
+           witness.size());
+    print_chain(witness);
   }
   return 0;
 }

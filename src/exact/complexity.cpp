@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "exact/depth_table.hpp"
-#include "exact/exact_synthesis.hpp"
 
 namespace mighty::exact {
 

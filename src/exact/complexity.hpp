@@ -16,8 +16,8 @@
 ///
 /// L is computed by dynamic programming in function space: cost-m functions
 /// are exactly the majorities of three functions whose costs sum to m-1
-/// (formulas share nothing, so costs add).  D uses the depth-constrained
-/// exact synthesis of `exact_synthesis.hpp`.
+/// (formulas share nothing, so costs add).  D is read from the function-space
+/// depth table of `depth_table.hpp`.
 
 namespace mighty::exact {
 

@@ -74,6 +74,14 @@ private:
   std::vector<uint8_t> table_;
 };
 
+/// The table's key domain: functions of up to 4 variables, extended to 4.
+tt::TruthTable extend_to_4(const tt::TruthTable& f) {
+  if (f.num_vars() > 4) {
+    throw std::invalid_argument("depth table covers up to 4 variables");
+  }
+  return f.num_vars() < 4 ? f.extend(4) : f;
+}
+
 }  // namespace
 
 DepthTable::DepthTable() {
@@ -175,11 +183,7 @@ const DepthTable& DepthTable::instance() {
 }
 
 uint32_t DepthTable::depth(const tt::TruthTable& f) const {
-  const auto f4 = f.num_vars() < 4 ? f.extend(4) : f;
-  if (f4.num_vars() != 4) {
-    throw std::invalid_argument("depth table covers up to 4 variables");
-  }
-  return depth_[f4.bits()];
+  return depth_[extend_to_4(f).bits()];
 }
 
 RefLit DepthTable::build_witness(uint16_t bits, MigChain& chain) const {
@@ -201,7 +205,7 @@ RefLit DepthTable::build_witness(uint16_t bits, MigChain& chain) const {
 }
 
 MigChain DepthTable::witness(const tt::TruthTable& f) const {
-  const auto f4 = f.num_vars() < 4 ? f.extend(4) : f;
+  const auto f4 = extend_to_4(f);
   MigChain chain;
   chain.num_vars = 4;
   chain.output = build_witness(static_cast<uint16_t>(f4.bits()), chain);

@@ -35,10 +35,13 @@ public:
   /// The process-wide table, built on first use.
   static const DepthTable& instance();
 
-  /// Minimum depth of a function of up to 4 variables.
+  /// Minimum depth of a function of up to 4 variables; functions with
+  /// fewer variables are extended to 4.  Throws std::invalid_argument
+  /// above 4 variables.
   uint32_t depth(const tt::TruthTable& f) const;
 
-  /// A depth-optimal tree realization.
+  /// A depth-optimal tree realization over 4 variables (constants and
+  /// projections come back as zero-gate chains).  Same domain as depth().
   MigChain witness(const tt::TruthTable& f) const;
 
   /// Distribution: index = depth, value = number of 4-variable functions.

@@ -9,14 +9,11 @@
 #include "tt/truth_table.hpp"
 
 /// \file exact_synthesis.hpp
-/// \brief Minimum-size and minimum-depth exact synthesis of MIGs (paper
-/// Sec. III).
+/// \brief Minimum-size exact synthesis of MIGs (paper Sec. III).
 ///
-/// Size-minimum synthesis solves the decision problem "exists an MIG with k
-/// gates for f" for k = min_gates, min_gates + 1, ... until satisfiable.  Depth-minimum
-/// synthesis (used for the D(f) column of Table II) solves a complete-ternary-
-/// tree formulation for increasing depth; sharing never reduces depth, so a
-/// depth-optimal formula is also a depth-optimal circuit.
+/// Solves the decision problem "exists an MIG with k gates for f" for
+/// k = min_gates, min_gates + 1, ... until satisfiable.  Minimum depth D(f)
+/// is read from `DepthTable` (`depth_table.hpp`).
 
 namespace mighty::exact {
 
@@ -30,9 +27,6 @@ struct SynthesisOptions {
   /// Conflict budget per decision problem; -1 = unlimited.
   int64_t conflict_limit = -1;
   EncodeOptions encode;
-  /// If set, the chain is re-simulated and checked against f after
-  /// extraction (cheap; on by default as a safety net).
-  bool verify = true;
 };
 
 enum class SynthesisStatus {
@@ -56,23 +50,5 @@ SynthesisResult synthesize_minimum_mig(const tt::TruthTable& f,
 /// If f is constant or (complemented) projection, returns the trivial
 /// zero-gate chain.
 std::optional<MigChain> trivial_chain(const tt::TruthTable& f);
-
-struct DepthSynthesisOptions {
-  uint32_t max_depth = 6;
-  int64_t conflict_limit = -1;
-  /// Force the SAT tree formulation even for <= 4 variables (slow; the
-  /// default path uses the exhaustive function-space depth table).
-  bool use_sat = false;
-};
-
-struct DepthSynthesisResult {
-  SynthesisStatus status = SynthesisStatus::exhausted;
-  uint32_t depth = 0;
-  MigChain chain;  ///< a depth-minimal realization (as a tree)
-};
-
-/// Finds the minimum depth D(f) over all MIGs for f, together with a witness.
-DepthSynthesisResult synthesize_minimum_depth_mig(const tt::TruthTable& f,
-                                                  const DepthSynthesisOptions& options = {});
 
 }  // namespace mighty::exact

@@ -82,9 +82,6 @@ public:
   bool model_value(Var v) const { return model_[static_cast<size_t>(v)] > 0; }
   bool model_value_lit(Lit l) const { return model_value(var_of(l)) != is_negated(l); }
 
-  /// True if the solver has already derived top-level unsatisfiability.
-  bool in_conflict() const { return !ok_; }
-
 private:
   /// Word offset of a clause in `arena_`.
   using ClauseRef = uint32_t;

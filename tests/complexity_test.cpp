@@ -74,25 +74,6 @@ TEST(ComplexityTest, FormulaLengthDistributionMatchesPaperTable2) {
   }
 }
 
-TEST(ComplexityTest, DepthOfParityIsFour) {
-  // The parity class is the unique depth-4 class (paper Sec. V-A).
-  const auto parity = tt::TruthTable(4, 0x6996);
-  const auto r = synthesize_minimum_depth_mig(parity);
-  ASSERT_EQ(r.status, SynthesisStatus::success);
-  EXPECT_EQ(r.depth, 4u);
-  EXPECT_EQ(r.chain.simulate(), parity);
-}
-
-TEST(ComplexityTest, DepthExamples) {
-  // <abc>-like class: depth 1; S_{0,2}: depth 3 despite size 7.
-  const auto maj = tt::TruthTable::maj(tt::TruthTable::projection(4, 0),
-                                       tt::TruthTable::projection(4, 1),
-                                       tt::TruthTable::projection(4, 2));
-  const auto r1 = synthesize_minimum_depth_mig(maj);
-  ASSERT_EQ(r1.status, SynthesisStatus::success);
-  EXPECT_EQ(r1.depth, 1u);
-}
-
 TEST(BoundsTest, Theorem2Values) {
   EXPECT_EQ(theorem2_bound(4), 7u);
   EXPECT_EQ(theorem2_bound(5), 17u);

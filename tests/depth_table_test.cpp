@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "npn/npn.hpp"
 
@@ -27,6 +29,14 @@ TEST(DepthTableTest, OnlyParityHasDepthFour) {
   EXPECT_EQ(table().depth(tt::TruthTable(4, 0x9669)), 4u);
 }
 
+TEST(DepthTableTest, RejectsMoreThanFourVariables) {
+  const auto xor5 = tt::TruthTable::projection(5, 0) ^ tt::TruthTable::projection(5, 1) ^
+                    tt::TruthTable::projection(5, 2) ^ tt::TruthTable::projection(5, 3) ^
+                    tt::TruthTable::projection(5, 4);
+  EXPECT_THROW(table().depth(xor5), std::invalid_argument);
+  EXPECT_THROW(table().witness(xor5), std::invalid_argument);
+}
+
 TEST(DepthTableTest, TrivialAndSingleGateDepths) {
   EXPECT_EQ(table().depth(tt::TruthTable::constant(4, false)), 0u);
   EXPECT_EQ(table().depth(tt::TruthTable::projection(4, 2)), 0u);
@@ -42,8 +52,9 @@ TEST(DepthTableTest, TrivialAndSingleGateDepths) {
 
 TEST(DepthTableTest, WitnessRealizesFunctionAtTabulatedDepth) {
   std::mt19937 rng(17);
-  for (int i = 0; i < 200; ++i) {
-    const tt::TruthTable f(4, rng());
+  std::vector<tt::TruthTable> functions = {tt::TruthTable(4, 0x6996)};
+  for (int i = 0; i < 200; ++i) functions.emplace_back(4, rng());
+  for (const auto& f : functions) {
     const auto chain = table().witness(f);
     EXPECT_EQ(chain.simulate(), f);
     EXPECT_EQ(chain.depth(), table().depth(f)) << "f=0x" << f.to_hex();
@@ -75,6 +86,10 @@ TEST(DepthTableTest, SmallerFunctionsExtendTransparently) {
   const auto xor3 = tt::TruthTable::projection(3, 0) ^ tt::TruthTable::projection(3, 1) ^
                     tt::TruthTable::projection(3, 2);
   EXPECT_EQ(table().depth(xor3), 2u);  // Fig. 1 sum structure
+  const auto and2 = tt::TruthTable::projection(2, 0) & tt::TruthTable::projection(2, 1);
+  EXPECT_EQ(table().depth(and2), 1u);
+  const auto xor2 = tt::TruthTable::projection(2, 0) ^ tt::TruthTable::projection(2, 1);
+  EXPECT_EQ(table().depth(xor2), 2u);
 }
 
 TEST(DepthTableTest, DepthLowerBoundedBySupport) {

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "exact/depth_table.hpp"
 #include "mig/simulation.hpp"
 #include "npn/npn.hpp"
 
@@ -141,64 +142,16 @@ TEST(ExactSynthesisTest, TimeoutIsReported) {
   EXPECT_EQ(r.status, SynthesisStatus::timeout);
 }
 
-TEST(DepthSynthesisTest, SimpleDepths) {
-  // Single-gate functions have depth 1.
-  const auto and2 = TruthTable::projection(2, 0) & TruthTable::projection(2, 1);
-  const auto r1 = synthesize_minimum_depth_mig(and2);
-  ASSERT_EQ(r1.status, SynthesisStatus::success);
-  EXPECT_EQ(r1.depth, 1u);
-
-  // XOR2 has depth 2.
-  const auto xor2 = TruthTable::projection(2, 0) ^ TruthTable::projection(2, 1);
-  const auto r2 = synthesize_minimum_depth_mig(xor2);
-  ASSERT_EQ(r2.status, SynthesisStatus::success);
-  EXPECT_EQ(r2.depth, 2u);
-
-  // XOR3 has depth 2 (Fig. 1).
-  const auto xor3 = TruthTable::projection(3, 0) ^ TruthTable::projection(3, 1) ^
-                    TruthTable::projection(3, 2);
-  const auto r3 = synthesize_minimum_depth_mig(xor3);
-  ASSERT_EQ(r3.status, SynthesisStatus::success);
-  EXPECT_EQ(r3.depth, 2u);
-}
-
-TEST(DepthSynthesisTest, TrivialFunctionsHaveDepthZero) {
-  const auto r = synthesize_minimum_depth_mig(TruthTable::projection(4, 3));
-  ASSERT_EQ(r.status, SynthesisStatus::success);
-  EXPECT_EQ(r.depth, 0u);
-}
-
 TEST(DepthSynthesisTest, DepthNeverExceedsSizeOptimalDepth) {
+  const auto& table = DepthTable::instance();
   std::mt19937 rng(9);
   for (int i = 0; i < 4; ++i) {
     const TruthTable f(3, rng() & 0xff);
     const auto rs = synthesize_minimum_mig(f);
-    const auto rd = synthesize_minimum_depth_mig(f);
     ASSERT_EQ(rs.status, SynthesisStatus::success);
-    ASSERT_EQ(rd.status, SynthesisStatus::success);
-    EXPECT_LE(rd.depth, rs.chain.depth());
-    // The depth-table path returns witnesses over four variables.
-    EXPECT_EQ(rd.chain.simulate(), f.extend(rd.chain.num_vars));
-  }
-}
-
-TEST(DepthSynthesisTest, SatTreeAgreesWithDepthTable) {
-  // Cross-check the SAT tree formulation against the function-space table on
-  // shallow functions (the SAT instances are small for depth <= 2).
-  std::mt19937 rng(21);
-  int checked = 0;
-  while (checked < 5) {
-    const TruthTable f(3, rng() & 0xff);
-    DepthSynthesisOptions table_path;
-    const auto rt = synthesize_minimum_depth_mig(f, table_path);
-    ASSERT_EQ(rt.status, SynthesisStatus::success);
-    if (rt.depth > 2) continue;  // keep the SAT instances small
-    DepthSynthesisOptions sat_path;
-    sat_path.use_sat = true;
-    const auto rs = synthesize_minimum_depth_mig(f, sat_path);
-    ASSERT_EQ(rs.status, SynthesisStatus::success);
-    EXPECT_EQ(rs.depth, rt.depth) << "f=0x" << f.to_hex();
-    ++checked;
+    EXPECT_LE(table.depth(f), rs.chain.depth());
+    // Witnesses are built over four variables.
+    EXPECT_EQ(table.witness(f).simulate(), f.extend(4));
   }
 }
 
