@@ -51,8 +51,7 @@ int main() {
 
   sw.reset();
   const auto d_rows = exact::depth_distribution();
-  printf("D(f) computed in %.2fs (depth-constrained exact synthesis per class)\n",
-         sw.seconds());
+  printf("D(f) computed in %.2fs (function-space depth table)\n", sw.seconds());
   print_rows("D(f)", d_rows);
 
   const bool c_ok = c_rows.size() == 8 && c_rows[7].classes == 1;

@@ -1,11 +1,11 @@
 // Fuzz target: the persistent 5-input oracle cache loader
-// (ReplacementOracle::load_cache, src/opt/oracle.cpp).  The loader promises
-// wholesale validation — a malformed file is rejected without touching the
-// in-memory cache — so the property here is that the answer is always
-// `loaded` or `malformed` (a stream is never `missing`), that a loaded
-// stream reports entries >= adopted, and that loading never crashes.
-// `entries` counts NPN-class entries after v1/v2 keys migrate to their
-// class representatives, so several lines of one class count once.  The
+// (ReplacementOracle::load_cache over opt::read_cache_file,
+// src/opt/oracle.cpp).  The loader promises wholesale validation — a file
+// the reader finds any problem with is rejected without touching the
+// in-memory cache — so the properties here are that the answer is always
+// `loaded` or `malformed` (a stream is never `missing`), that it is
+// `loaded` exactly when the reader reports no problem, that a loaded
+// stream adopts each of its records, and that loading never crashes.  The
 // oracle sits on an empty database: the loader path never consults it.
 
 #include <sstream>
@@ -26,12 +26,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   std::istringstream is(text);
   const auto result = oracle.load_cache(is);
+  std::istringstream again(text);
+  const auto file = mighty::opt::read_cache_file(again, params.max_gates);
   using Status = mighty::opt::ReplacementOracle::CacheLoadStatus;
   FUZZ_REQUIRE(result.status != Status::missing);
+  FUZZ_REQUIRE((result.status == Status::loaded) == file.problems.empty());
   FUZZ_REQUIRE(result.adopted <= result.entries);
   if (result.status == Status::loaded) {
-    // Into a fresh oracle, every parsed entry must have been adopted, and
-    // the cache must hold exactly those entries.
+    // Into a fresh oracle, every record must have been adopted, and the
+    // cache must hold exactly those records.
+    FUZZ_REQUIRE(result.entries == file.records.size());
     FUZZ_REQUIRE(result.adopted == result.entries);
     FUZZ_REQUIRE(oracle.cache_stats().entries == result.entries);
   } else {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
-#include <sstream>
 #include <unordered_set>
 
 #include "exact/chain.hpp"
@@ -71,6 +69,22 @@ std::vector<bool> recompute_live(const MigView& view) {
 
 std::string signal_str(mig::Signal s) {
   return (s.is_complemented() ? "!" : "") + std::to_string(s.index());
+}
+
+Code artifact_code(opt::CacheProblem::Kind kind) {
+  using Kind = opt::CacheProblem::Kind;
+  switch (kind) {
+    case Kind::header:
+    case Kind::count:
+      return Code::artifact_header;
+    case Kind::entry:
+      return Code::artifact_entry;
+    case Kind::not_canonical:
+      return Code::artifact_not_canonical;
+    case Kind::budget:
+      return Code::artifact_budget;
+  }
+  return Code::artifact_entry;
 }
 
 }  // namespace
@@ -680,134 +694,17 @@ CheckReport lint_cache_file(const std::string& path) {
     report.add(Code::artifact_io, kNoNode, "cannot open " + path);
     return report;
   }
-
-  std::string header;
-  std::getline(is, header);
-  std::istringstream hs(header);
-  std::string magic, version;
-  size_t count = 0;
-  if (!(hs >> magic >> version >> count) || magic != "mighty-mig-5cut-cache" ||
-      (version != "v1" && version != "v2" && version != "v3")) {
-    report.add(Code::artifact_header, 1, "bad header: \"" + header + '"');
-    return report;
+  const auto file = opt::read_cache_file(is, opt::OracleParams{}.max_gates);
+  for (const auto& problem : file.problems) {
+    report.add(artifact_code(problem.kind), problem.line, problem.message);
   }
-  // v3 keys NPN classes; v1 and v2 keys are raw functions that migrate on load.
-  const bool class_keys = version == "v3";
-
-  std::unordered_set<uint64_t> seen;
-  uint64_t previous_key = 0;
-  bool have_previous = false;
-  bool ordered = true;
-  size_t entries = 0;
-  std::string line;
-  for (uint32_t line_number = 2; std::getline(is, line); ++line_number) {
-    if (line.empty()) continue;
-    ++entries;
-    std::istringstream ls(line);
-    std::string hex, status;
-    int64_t budget = 0;
-    uint64_t conflicts = 0;
-    if (!(ls >> hex >> status >> budget >> conflicts)) {
-      report.add(Code::artifact_entry, line_number, "malformed line: \"" + line + '"');
-      continue;
+  for (size_t i = 1; i < file.records.size(); ++i) {
+    if (file.records[i].first <= file.records[i - 1].first) {
+      report.add(Code::artifact_order, kNoNode,
+                 "entries not sorted by key (save_cache writes sorted files)",
+                 Severity::warning);
+      break;
     }
-    if (hex.size() != 8) {
-      report.add(Code::artifact_entry, line_number,
-                 "truth table key must be 8 hex digits, got \"" + hex + '"');
-      continue;
-    }
-    tt::TruthTable f(5);
-    try {
-      f = tt::TruthTable::from_hex(5, hex);
-    } catch (const std::exception&) {
-      report.add(Code::artifact_entry, line_number, "unparsable key \"" + hex + '"');
-      continue;
-    }
-    if (!seen.insert(f.bits()).second) {
-      report.add(Code::artifact_entry, line_number, "duplicate key 0x" + hex);
-    }
-    if (class_keys && npn::canonize(f).representative != f) {
-      report.add(Code::artifact_not_canonical, line_number,
-                 "key 0x" + hex + " is not its NPN class representative");
-    }
-    if (have_previous && f.bits() <= previous_key) ordered = false;
-    previous_key = f.bits();
-    have_previous = true;
-
-    if (status == "ok") {
-      std::string rest;
-      std::getline(ls, rest);
-      std::optional<exact::MigChain> chain;
-      try {
-        chain = exact::MigChain::from_string(rest);
-      } catch (const std::exception&) {
-        report.add(Code::artifact_entry, line_number, "unparsable chain for 0x" + hex);
-        continue;
-      }
-      if (chain->num_vars != 5 || !(chain->simulate() == f)) {
-        report.add(Code::artifact_entry, line_number,
-                   "chain does not realize key 0x" + hex);
-        continue;
-      }
-      // Canonical-form line: the chain must re-serialize to exactly the
-      // stored text, so the file round-trips bit-identically.
-      const auto canonical = chain->to_string();
-      const auto start = rest.find_first_not_of(' ');
-      if (start == std::string::npos || rest.substr(start) != canonical) {
-        report.add(Code::artifact_not_canonical, line_number,
-                   "chain for 0x" + hex + " is not in canonical serialization");
-      }
-    } else if (status == "fail" || status == "open") {
-      const bool open = status == "open";
-      if (open) {
-        // "No chain below <lower> gates": at least the 5-input support bound
-        // of two gates, at most the oracle's gate cap (a search that reaches
-        // the cap ends in ok or fail, never open).  No chain follows.
-        const uint32_t max_gates = opt::OracleParams{}.max_gates;
-        int64_t lower = 0;
-        if (version == "v1") {
-          report.add(Code::artifact_entry, line_number,
-                     "open record for 0x" + hex + " in a v1 file");
-        } else if (!(ls >> lower)) {
-          report.add(Code::artifact_entry, line_number,
-                     "open record for 0x" + hex + " lacks its lower bound");
-        } else if (lower < 2 || lower > static_cast<int64_t>(max_gates)) {
-          report.add(Code::artifact_entry, line_number,
-                     "open record for 0x" + hex + " has lower bound " +
-                         std::to_string(lower) + " (must be 2.." +
-                         std::to_string(max_gates) + ")");
-        }
-      }
-      std::string extra;
-      if (ls >> extra) {
-        report.add(Code::artifact_entry, line_number,
-                   std::string("trailing tokens after ") + (open ? "open" : "failure") +
-                       " record for 0x" + hex);
-      }
-      // Budget monotonicity: failures are retried when queried under a
-      // strictly larger budget, with -1 ranking above every finite value.
-      // A zero or negative finite budget would freeze a failure that never
-      // actually ran the solver; an open entry ran it under the same rule.
-      if (budget != -1 && budget < 1) {
-        report.add(Code::artifact_budget, line_number,
-                   std::string(open ? "open record" : "failure") + " for 0x" + hex +
-                       " recorded under budget " + std::to_string(budget) +
-                       " (must be -1 or >= 1)");
-      }
-    } else {
-      report.add(Code::artifact_entry, line_number,
-                 "unknown status \"" + status + "\" for 0x" + hex);
-    }
-  }
-  if (entries != count) {
-    report.add(Code::artifact_header, 1,
-               "header promises " + std::to_string(count) + " entries, file has " +
-                   std::to_string(entries));
-  }
-  if (!ordered) {
-    report.add(Code::artifact_order, kNoNode,
-               "entries not sorted by key (save_cache writes sorted files)",
-               Severity::warning);
   }
   return report;
 }

@@ -206,16 +206,12 @@ CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTall
 /// representative within the Theorem-2 bound of 7 gates.
 CheckReport lint_database(const exact::Database& db);
 
-/// 5-input oracle cache file lint (format v1, v2 or v3), beyond the
-/// loader's wholesale accept/reject: per-line diagnostics (`node` = 1-based
-/// line), canonical-form keys (the stored chain must re-serialize to the
-/// stored line and realize the key function, and a v3 key must be its NPN
-/// class representative), budget monotonicity (a failure or
-/// open record must record either the unlimited -1 budget — for a failure:
-/// proved absent, never retry — or a positive conflict budget; 0 would
-/// freeze a never-attempted failure forever), open records (v2 only: a
-/// lower bound of 2..max_gates gates and no chain), and sorted keys
-/// (save_cache writes sorted; disorder flags hand-editing — warning).
+/// 5-input oracle cache file lint: the loader's own reader
+/// (opt::read_cache_file, whose comment lists the rules) under the default
+/// `max_gates`, so a file draws a lint error exactly when a default oracle
+/// rejects it.  Each problem becomes one diagnostic (`node` = 1-based line;
+/// header and count problems name line 1), and keys out of order draw a
+/// warning (save_cache writes sorted files, so disorder flags hand-editing).
 CheckReport lint_cache_file(const std::string& path);
 
 }  // namespace mighty::check

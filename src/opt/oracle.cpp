@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "exact/bounds.hpp"
 #include "exact/exact_synthesis.hpp"
@@ -17,20 +18,17 @@ namespace mighty::opt {
 namespace {
 
 constexpr const char* kCacheMagic = "mighty-mig-5cut-cache";
-/// Keys are NPN class representatives.  v1 (ok/fail lines) and v2 (plus
-/// open lines) key raw functions and migrate on load.
+/// Keys are NPN class representatives.
 constexpr const char* kCacheVersion = "v3";
-constexpr const char* kCacheVersionV2 = "v2";
-constexpr const char* kCacheVersionV1 = "v1";
 
 /// k gates reach at most 2k + 1 inputs, so a function of full 5-variable
 /// support needs at least two: the first decision problem worth solving.
 constexpr uint32_t kSupportBound = 2;
 
 /// Bumps a lifetime counter and its optional per-scope mirror.
-void bump(std::atomic<uint64_t>& global, OracleTally* tally,
+void bump(OracleTally& totals, OracleTally* tally,
           std::atomic<uint64_t> OracleTally::* member, uint64_t amount = 1) {
-  global.fetch_add(amount, std::memory_order_relaxed);
+  (totals.*member).fetch_add(amount, std::memory_order_relaxed);
   if (tally != nullptr) (tally->*member).fetch_add(amount, std::memory_order_relaxed);
 }
 
@@ -49,7 +47,7 @@ uint64_t total_conflicts(const exact::SynthesisResult& result) {
 
 }  // namespace
 
-bool ReplacementOracle::CacheEntry::outranks(const CacheEntry& holder) const {
+bool CacheRecord::outranks(const CacheRecord& holder) const {
   if (chain) return !holder.chain;
   if (!open()) {
     return !holder.chain &&
@@ -60,7 +58,14 @@ bool ReplacementOracle::CacheEntry::outranks(const CacheEntry& holder) const {
 
 ReplacementOracle::ReplacementOracle(const exact::Database& db,
                                      const OracleParams& params)
-    : db_(db), params_(params) {}
+    : db_(db), params_(params) {
+  // Every cache line records the budget, and the reader rejects any other:
+  // an oracle running under one would write files it cannot load back.
+  if (params.synthesis_conflict_limit == 0 || params.synthesis_conflict_limit < -1) {
+    throw std::invalid_argument("synthesis_conflict_limit must be -1 or >= 1, got " +
+                                std::to_string(params.synthesis_conflict_limit));
+  }
+}
 
 exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
                                                      uint32_t max_size, OracleTally* tally) {
@@ -84,7 +89,7 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
   util::MutexLock lock(stripe.mutex);
   const auto it = stripe.map.find(key);
   if (it != stripe.map.end() && it->second.chain && it->second.chain->size() <= max_size) {
-    bump(cache5_hits_, tally, &OracleTally::cache5_hits);
+    bump(totals_, tally, &OracleTally::cache5_hits);
     return answer(*it->second.chain);
   }
   // Every other query returns nothing or runs a search; only these pay for
@@ -107,13 +112,13 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
                        budget_rank(params_.synthesis_conflict_limit) >
                            budget_rank(cached.budget);
     if (!retry) {
-      bump(cache5_hits_, tally, &OracleTally::cache5_hits);
+      bump(totals_, tally, &OracleTally::cache5_hits);
       if (!cached.open() || cached.lower > last) return {};
       first = std::max(first, cached.lower);
       resumed = true;
     }
   }
-  if (!resumed) bump(synthesized_, tally, &OracleTally::synthesized);
+  if (!resumed) bump(totals_, tally, &OracleTally::synthesized);
 
   // No chain has fewer than `first` gates, so a Theorem-2 chain of exactly
   // `first` gates is a minimum: the satisfiable problem needs no search.
@@ -123,7 +128,7 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
     if (shannon.simulate() != rep) {
       throw std::logic_error("Shannon construction built a non-equivalent chain");
     }
-    bump(constructed_, tally, &OracleTally::constructed);
+    bump(totals_, tally, &OracleTally::constructed);
     result.status = exact::SynthesisStatus::success;
     result.chain = std::move(shannon);
   } else {
@@ -138,7 +143,7 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
     result = exact::synthesize_minimum_mig(rep, options);
   }
   const uint64_t conflicts = total_conflicts(result);
-  bump(conflicts_, tally, &OracleTally::conflicts, conflicts);
+  bump(totals_, tally, &OracleTally::conflicts, conflicts);
 
   CacheEntry& entry = it != stripe.map.end() ? it->second : stripe.map[key];
   entry.conflicts += conflicts;  // retries and resumptions accumulate effort
@@ -155,7 +160,7 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
     entry.lower = last + 1;
     return {};
   }
-  bump(failures_, tally, &OracleTally::failures);
+  bump(totals_, tally, &OracleTally::failures);
   // "exhausted" up to max_gates is a definitive no that no conflict budget
   // overturns; record it as an unlimited-budget failure so it is never
   // retried.  A timeout keeps the finite budget so a richer session can try
@@ -167,7 +172,7 @@ exact::ClassChain ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
 std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthTable& f,
                                                                 OracleTally* tally,
                                                                 uint32_t max_size) {
-  bump(queries_, tally, &OracleTally::queries);
+  bump(totals_, tally, &OracleTally::queries);
   // Size, depth and per-variable input depths of a class chain read as the
   // queried function; `vars[v]` is the query variable that variable v of the
   // chain's member stands for.
@@ -189,14 +194,14 @@ std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthT
   std::vector<uint32_t> old_vars;
   const auto g = f.shrink_to_support(old_vars);
   if (g.num_vars() <= 4) {
-    bump(answered_, tally, &OracleTally::answered);
+    bump(totals_, tally, &OracleTally::answered);
     return describe(db_.lookup(g.extend(4)).class_chain(), old_vars);
   }
 
   if (!params_.enable_five_input || f.num_vars() > 5) return std::nullopt;
   const auto chain = five_input_chain(f, max_size, tally);
   if (chain.chain == nullptr) return std::nullopt;
-  bump(answered_, tally, &OracleTally::answered);
+  bump(totals_, tally, &OracleTally::answered);
   return describe(chain, {0, 1, 2, 3, 4});
 }
 
@@ -221,6 +226,118 @@ ReplacementOracle::CacheStats ReplacementOracle::cache_stats() const {
   return stats;
 }
 
+CacheFile read_cache_file(std::istream& is, uint32_t max_gates) {
+  using Kind = CacheProblem::Kind;
+  CacheFile file;
+  const auto problem = [&file](Kind kind, uint32_t line, std::string message) {
+    file.problems.push_back({kind, line, std::move(message)});
+  };
+
+  std::string header;
+  std::getline(is, header);
+  std::istringstream hs(header);
+  std::string magic, version;
+  size_t count = 0;
+  if (!(hs >> magic >> version >> count) || magic != kCacheMagic || version != kCacheVersion) {
+    problem(Kind::header, 1,
+            "bad header \"" + header + "\" (expected \"" + kCacheMagic + ' ' + kCacheVersion +
+                " <count>\")");
+    return file;
+  }
+
+  std::unordered_set<uint64_t> seen;
+  size_t lines = 0;
+  std::string line;
+  for (uint32_t number = 2; std::getline(is, line); ++number) {
+    if (line.empty()) continue;
+    ++lines;
+    const size_t problems_before = file.problems.size();
+    std::istringstream ls(line);
+    std::string hex, kind;
+    CacheRecord record;
+    if (!(ls >> hex >> kind >> record.budget >> record.conflicts)) {
+      problem(Kind::entry, number, "malformed line \"" + line + '"');
+      continue;
+    }
+    // 5-variable truth tables are exactly 8 hex digits; from_hex would
+    // silently mask a longer string onto the wrong function.
+    if (hex.size() != 8) {
+      problem(Kind::entry, number, "key must be 8 hex digits, got \"" + hex + '"');
+      continue;
+    }
+    tt::TruthTable f(5);
+    try {
+      f = tt::TruthTable::from_hex(5, hex);
+    } catch (const std::exception&) {
+      problem(Kind::entry, number, "unparsable key \"" + hex + '"');
+      continue;
+    }
+    if (!seen.insert(f.bits()).second) problem(Kind::entry, number, "duplicate key 0x" + hex);
+    if (npn::canonize(f).representative != f) {
+      problem(Kind::not_canonical, number,
+              "key 0x" + hex + " is not its NPN class representative");
+    }
+
+    if (kind == "ok") {
+      std::string rest;
+      std::getline(ls, rest);
+      try {
+        record.chain = exact::MigChain::from_string(rest);
+      } catch (const std::exception&) {
+        problem(Kind::entry, number, "unparsable chain for 0x" + hex);
+        continue;
+      }
+      if (record.chain->num_vars != 5 || record.chain->simulate() != f) {
+        problem(Kind::entry, number, "chain does not realize key 0x" + hex);
+        continue;
+      }
+      // The line must be exactly the chain's serialization: trailing
+      // garbage would round-trip differently than it parsed.
+      const auto start = rest.find_first_not_of(' ');
+      if (start == std::string::npos || rest.substr(start) != record.chain->to_string()) {
+        problem(Kind::not_canonical, number,
+                "chain for 0x" + hex + " is not in canonical serialization");
+      }
+    } else if (kind == "fail" || kind == "open") {
+      const bool open = kind == "open";
+      const std::string what = open ? "open record" : "failure";
+      if (open) {
+        int64_t lower = 0;
+        if (!(ls >> lower)) {
+          problem(Kind::entry, number, what + " for 0x" + hex + " lacks its lower bound");
+        } else if (lower < kSupportBound || lower > static_cast<int64_t>(max_gates)) {
+          problem(Kind::entry, number,
+                  what + " for 0x" + hex + " has lower bound " + std::to_string(lower) +
+                      " (must be " + std::to_string(kSupportBound) + ".." +
+                      std::to_string(max_gates) + ")");
+        } else {
+          record.lower = static_cast<uint32_t>(lower);
+        }
+      }
+      std::string extra;
+      if (ls >> extra) {
+        problem(Kind::entry, number, "trailing tokens after " + what + " for 0x" + hex);
+      }
+      if (record.budget != -1 && record.budget < 1) {
+        problem(Kind::budget, number,
+                what + " for 0x" + hex + " recorded under budget " +
+                    std::to_string(record.budget) + " (must be -1 or >= 1)");
+      }
+    } else {
+      problem(Kind::entry, number, "unknown record kind \"" + kind + "\" for 0x" + hex);
+    }
+    if (file.problems.size() == problems_before) {
+      file.records.emplace_back(f.bits(), std::move(record));
+    }
+  }
+  if (lines != count) {
+    problem(Kind::count, 1,
+            "header promises " + std::to_string(count) + " entries, file has " +
+                std::to_string(lines));
+  }
+  return file;
+}
+
 ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache(const std::string& path) {
   std::ifstream is(path);
   if (!is) return {CacheLoadStatus::missing, 0, 0};
@@ -235,93 +352,16 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache(std::istream& i
 
 ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
     std::istream& is, const std::string& path) {
-  const CacheLoadResult malformed{CacheLoadStatus::malformed, 0, 0};
+  // Read the whole file before merging anything: a corrupted, truncated or
+  // duplicate-carrying cache must be rejected without leaving a partially
+  // merged in-memory state behind.
+  auto file = read_cache_file(is, params_.max_gates);
+  if (!file.problems.empty()) return {CacheLoadStatus::malformed, 0, 0};
 
-  std::string header;
-  std::getline(is, header);
-  std::istringstream hs(header);
-  std::string magic, version;
-  size_t count = 0;
-  if (!(hs >> magic >> version >> count) || magic != kCacheMagic ||
-      (version != kCacheVersion && version != kCacheVersionV2 &&
-       version != kCacheVersionV1)) {
-    return malformed;
-  }
-  const bool raw_keys = version != kCacheVersion;
-
-  // Parse, validate and migrate the whole file before merging anything: a
-  // corrupted, truncated or duplicate-carrying cache must be rejected
-  // without leaving a partially merged in-memory state behind.  v1/v2 lines
-  // key raw functions: each moves to its class representative (an `ok`
-  // chain is relabelled into the representative's frame), and lines of one
-  // class merge by the same rank as a load into memory, the first line
-  // winning a tie.
-  std::map<uint64_t, CacheEntry> parsed;  // class representative -> entry
-  std::unordered_map<uint64_t, bool> seen;
-  size_t lines = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string hex, status;
-    CacheEntry entry;
-    if (!(ls >> hex >> status >> entry.budget >> entry.conflicts)) return malformed;
-    // 5-variable truth tables are exactly 8 hex digits; from_hex would
-    // silently mask a longer string onto the wrong function.
-    if (hex.size() != 8) return malformed;
-    tt::TruthTable f(5);
-    try {
-      f = tt::TruthTable::from_hex(5, hex);
-    } catch (const std::exception&) {
-      return malformed;
-    }
-    if (status == "ok") {
-      std::string rest;
-      std::getline(ls, rest);
-      try {
-        entry.chain = exact::MigChain::from_string(rest);
-      } catch (const std::exception&) {
-        return malformed;
-      }
-      // The stored chain must realize the function it is filed under, and
-      // the line must be exactly its canonical serialization — trailing
-      // garbage would round-trip differently than it parsed.
-      if (entry.chain->num_vars != 5 || entry.chain->simulate() != f) return malformed;
-      const auto canonical = entry.chain->to_string();
-      const auto start = rest.find_first_not_of(' ');
-      if (start == std::string::npos || rest.substr(start) != canonical) {
-        return malformed;
-      }
-    } else if (status == "fail") {
-      std::string extra;
-      if (ls >> extra) return malformed;  // trailing garbage
-    } else if (status == "open" && version != kCacheVersionV1) {
-      // An open entry's lower bound is at least the support bound; below it
-      // the line would claim a search that never ran.
-      std::string extra;
-      if (!(ls >> entry.lower) || entry.lower < kSupportBound || (ls >> extra)) {
-        return malformed;
-      }
-    } else {
-      return malformed;
-    }
-    if (!seen.emplace(f.bits(), true).second) return malformed;  // duplicate line
-    ++lines;
-    // Disk content is by definition persisted — unless it migrated, in
-    // which case the next save rewrites the file in the current format.
-    entry.dirty = raw_keys;
-    const auto canon = npn::canonize(f);
-    if (!raw_keys && canon.representative != f) return malformed;  // v3 keys are classes
-    if (entry.chain && raw_keys) {
-      entry.chain = exact::ClassChain{&*entry.chain, canon.transform}.materialize();
-    }
-    const auto [it, fresh] = parsed.try_emplace(canon.representative.bits(), std::move(entry));
-    if (!fresh && entry.outranks(it->second)) it->second = std::move(entry);
-  }
-  if (lines != count) return malformed;
-
-  CacheLoadResult result{CacheLoadStatus::loaded, parsed.size(), 0};
-  for (auto& [key, disk] : parsed) {
+  CacheLoadResult result{CacheLoadStatus::loaded, file.records.size(), 0};
+  for (auto& [key, record] : file.records) {
+    // Disk content is by definition persisted.
+    CacheEntry disk{std::move(record), false};
     CacheStripe& stripe = stripe_for(key);
     util::MutexLock lock(stripe.mutex);
     const auto it = stripe.map.find(key);

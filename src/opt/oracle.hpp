@@ -62,11 +62,12 @@
 /// text file alongside the NPN-4 database, one line per class — hex truth
 /// table of the representative, record kind (ok / fail / open), the
 /// synthesis budget in force, the conflicts spent, then the chain of an `ok`
-/// line or the lower bound of an `open` line.  Files of the earlier formats,
-/// keyed by raw function, migrate on load.  Loading unions the file with the
-/// in-memory cache (success beats failure beats open; among failures the
-/// larger budget wins, among open entries the larger lower bound), so
-/// sessions warm-start across processes the same way a batch run
+/// line or the lower bound of an `open` line.  read_cache_file is the one
+/// reader of that file and lists its rules; load_cache and the artifact
+/// linter (check::lint_cache_file) both go through it.  Loading unions the
+/// file with the in-memory cache (success beats failure beats open; among
+/// failures the larger budget wins, among open entries the larger lower
+/// bound), so sessions warm-start across processes the same way a batch run
 /// warm-starts across networks.  Dirty-entry tracking lets save_cache skip
 /// the write when nothing changed since the last save/load.
 ///
@@ -82,11 +83,11 @@
 
 namespace mighty::opt {
 
-/// Caller-owned oracle accounting: the same counters the oracle keeps for its
-/// lifetime, recorded additionally into this tally by every query/instantiate
-/// that is handed one.  A pass (or one network of a batch run) owns a tally
-/// for exact attribution — global before/after snapshots would interleave
-/// arbitrarily once several networks mutate the shared counters concurrently.
+/// Oracle accounting: the oracle keeps one tally for its lifetime, and every
+/// query/instantiate that is handed a caller-owned tally records into it
+/// too.  A pass (or one network of a batch run) owns a tally for exact
+/// attribution — global before/after snapshots would interleave arbitrarily
+/// once several networks mutate the shared counters concurrently.
 /// Atomic because a single pass already fans out over FFR shards.
 struct OracleTally {
   std::atomic<uint64_t> queries{0};
@@ -104,15 +105,83 @@ struct OracleTally {
 struct OracleParams {
   /// Allow on-demand 5-input synthesis (otherwise only the 4-input database).
   bool enable_five_input = false;
-  /// Conflict budget per synthesis decision problem.
+  /// Conflict budget per synthesis decision problem: -1 (unlimited) or >= 1,
+  /// the budgets a cache file can record (see read_cache_file).
   int64_t synthesis_conflict_limit = 20000;
   /// Gate cap for on-demand synthesis.  A query's own size bound (the
   /// caller's "only useful if smaller than the cone") tightens it further.
   uint32_t max_gates = 9;
 };
 
+/// What the 5-input cache knows about one NPN class, keyed by the class
+/// representative; `chain` realizes the representative.  `budget` is the
+/// conflict limit in force when the record was produced: -1 means unlimited
+/// — for a failure that encodes "proved absent within max_gates, never
+/// retry", while a finite budget on a failure marks a timeout that a later
+/// query under a larger budget re-attempts.  `lower` > 0 marks an open
+/// record: no chain has fewer than `lower` gates, and the search stopped
+/// there.  `conflicts` is the solver effort spent producing the record
+/// (summed over decision problems, accumulated across retries and
+/// resumptions).
+struct CacheRecord {
+  std::optional<exact::MigChain> chain;  ///< nullopt = no replacement (yet)
+  int64_t budget = 0;
+  uint64_t conflicts = 0;
+  uint32_t lower = 0;
+
+  bool open() const { return !chain && lower > 0; }
+  /// Merge rank of two records of one class: success beats failure beats
+  /// open; between failures the larger budget wins, between open records
+  /// the larger lower bound.  On a tie the holder stays — between two
+  /// successes too, since both are proven minima of the same class.
+  bool outranks(const CacheRecord& holder) const;
+};
+
+/// One thing wrong with a cache file, at a 1-based line (the header is 1).
+struct CacheProblem {
+  enum class Kind {
+    header,         ///< bad magic or version, or an unreadable header
+    entry,          ///< malformed, duplicate or inconsistent line
+    not_canonical,  ///< key not its class representative, or a chain not
+                    ///< in its canonical serialization
+    budget,         ///< fail/open budget neither -1 nor >= 1
+    count,          ///< the header's count differs from the lines that follow
+  };
+  Kind kind;
+  uint32_t line;
+  std::string message;
+};
+
+/// A cache file as read_cache_file sees it: the records of its valid lines
+/// in file order, keyed by representative bits, and every problem.
+struct CacheFile {
+  std::vector<std::pair<uint64_t, CacheRecord>> records;
+  std::vector<CacheProblem> problems;
+};
+
+/// The one reader of the 5-input cache file.  Its rules:
+///
+///  * the header is `mighty-mig-5cut-cache v3 <count>`; any other magic or
+///    version is a header problem and ends the read, and `<count>` equals
+///    the number of non-blank lines that follow;
+///  * a line is `<key> <kind> <budget> <conflicts> ...`; the key is exactly
+///    8 hex digits, appears once, and is its own NPN class representative;
+///  * an `ok` line ends with a 5-variable chain that realizes the key,
+///    written exactly as MigChain::to_string writes it;
+///  * a `fail` line ends after the conflicts, and an `open` line after one
+///    lower bound between 2 (the support bound) and `max_gates` (a search
+///    that reaches the cap ends in ok or fail, never open);
+///  * a `fail` or `open` line records a budget of -1 or >= 1: failures are
+///    retried under a strictly larger budget, so 0 or below would freeze a
+///    class whose search never ran.
+///
+/// Reading goes on past a bad line, so every problem is listed; a line
+/// with a problem yields no record.
+CacheFile read_cache_file(std::istream& is, uint32_t max_gates);
+
 class ReplacementOracle {
 public:
+  /// Throws std::invalid_argument for a conflict budget outside -1 / >= 1.
   ReplacementOracle(const exact::Database& db, const OracleParams& params = {});
 
   struct Info {
@@ -161,31 +230,25 @@ public:
   enum class CacheLoadStatus {
     loaded,    ///< file parsed and merged
     missing,   ///< no file at `path` (a fresh cache; not an error)
-    malformed  ///< rejected: bad header/line/duplicate/inconsistent chain
+    malformed  ///< rejected: read_cache_file reported a problem
   };
   struct CacheLoadResult {
     CacheLoadStatus status = CacheLoadStatus::missing;
-    size_t entries = 0;  ///< class entries parsed from the file, after migration
+    size_t entries = 0;  ///< records in the file
     size_t adopted = 0;  ///< entries that changed or extended the in-memory cache
   };
 
   /// Merges the cache file at `path` into the in-memory 5-input cache.  The
-  /// file is validated wholesale before any merge (bad magic/version, a
-  /// malformed or duplicate line, a count mismatch, a chain that does not
-  /// realize its key, or a v3 key that is not its class's representative
-  /// reject the file without touching the cache).  v1 and v2 files key raw
-  /// functions: each line moves to its class representative (an `ok` chain
-  /// is relabelled through the function's transform), and lines of one
-  /// class merge by the rank below, the first line winning a tie.
+  /// file is read wholesale before any merge: a file that read_cache_file
+  /// (under this oracle's `max_gates`) finds any problem with is rejected
+  /// without touching the cache.
   /// Merge semantics: unknown classes are adopted; a success on disk
   /// replaces an in-memory failure or open entry (never the reverse), and a
   /// failure replaces an open entry; between two failures the larger budget
   /// wins, between two open entries the larger lower bound; between two
   /// successes the in-memory chain is kept (both are proven minima, and
-  /// replacing it would dangle outstanding pointers).  All three format
-  /// versions load (v1 files have no open lines).  Adopted entries are clean
-  /// (dirty when migrated, so the next save rewrites the file as v3);
-  /// surviving in-memory entries keep their dirty bit.  Thread-safe.
+  /// replacing it would dangle outstanding pointers).  Adopted entries are
+  /// clean; surviving in-memory entries keep their dirty bit.  Thread-safe.
   CacheLoadResult load_cache(const std::string& path);
   /// Same validation and merge over an already-open stream (in-memory
   /// buffers, fuzz harnesses); a stream is never "missing", only malformed.
@@ -203,64 +266,37 @@ public:
 
   /// Classes whose first decision problem a query started / queries that
   /// reached a timeout or exhausted max_gates (for reporting).
-  uint64_t synthesized_count() const {
-    return synthesized_.load(std::memory_order_relaxed);
-  }
-  uint64_t synthesis_failures() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
+  uint64_t synthesized_count() const { return read(totals_.synthesized); }
+  uint64_t synthesis_failures() const { return read(totals_.failures); }
   /// Searches answered by the Theorem-2 chain, which met the size lower
   /// bound and so needed no SAT.
-  uint64_t constructed_count() const {
-    return constructed_.load(std::memory_order_relaxed);
-  }
+  uint64_t constructed_count() const { return read(totals_.constructed); }
 
   /// Query accounting across the oracle's lifetime (flows share one oracle
   /// over many passes, so these measure cross-pass cache effectiveness).
-  uint64_t queries() const { return queries_.load(std::memory_order_relaxed); }
+  uint64_t queries() const { return read(totals_.queries); }
   /// Queries answered with a replacement structure (4-input lookups always
   /// hit; 5-input queries hit when cached or synthesized within budget).
-  uint64_t answered() const { return answered_.load(std::memory_order_relaxed); }
+  uint64_t answered() const { return read(totals_.answered); }
   /// 5-input queries that found their class cached — answered from the
   /// cache, or resuming an open entry's search.
-  uint64_t cache5_hits() const { return cache5_hits_.load(std::memory_order_relaxed); }
+  uint64_t cache5_hits() const { return read(totals_.cache5_hits); }
   /// SAT conflicts spent on on-demand synthesis.
-  uint64_t sat_conflicts() const { return conflicts_.load(std::memory_order_relaxed); }
-  /// Fraction of queries answered; 1.0 when no query was made.
-  double hit_rate() const {
-    const uint64_t q = queries();
-    return q == 0 ? 1.0 : static_cast<double>(answered()) / q;
-  }
+  uint64_t sat_conflicts() const { return read(totals_.conflicts); }
 
 private:
   /// Shared core of both load_cache overloads; an empty `path` means the
   /// stream has no on-disk identity for the clean-skip bookkeeping.
   CacheLoadResult load_cache_stream(std::istream& is, const std::string& path);
 
-  /// One cached 5-input synthesis outcome for an NPN class, keyed by the
-  /// class representative; `chain` realizes the representative.  `budget`
-  /// is the conflict limit in force when the entry was produced: -1 means
-  /// unlimited — for a failure that encodes "proved absent within
-  /// max_gates, never retry", while a finite budget on a failure marks a
-  /// timeout that a later query under a larger budget re-attempts.  `lower` > 0 marks an open entry:
-  /// no chain has fewer than `lower` gates, and the search stopped there.
-  /// `conflicts` is the solver effort spent producing the entry (summed
-  /// over decision problems, accumulated across retries and resumptions).
-  /// `dirty` tracks divergence from the last save/load.
-  struct CacheEntry {
-    std::optional<exact::MigChain> chain;  ///< nullopt = no replacement (yet)
-    int64_t budget = 0;
-    uint64_t conflicts = 0;
-    uint32_t lower = 0;
+  /// A class record plus whether it diverged from the last save/load.
+  struct CacheEntry : CacheRecord {
     bool dirty = true;
-
-    bool open() const { return !chain && lower > 0; }
-    /// Merge rank of two records of one class: success beats failure beats
-    /// open; between failures the larger budget wins, between open entries
-    /// the larger lower bound.  On a tie the holder stays — between two
-    /// successes too, since both are proven minima of the same class.
-    bool outranks(const CacheEntry& holder) const;
   };
+
+  static uint64_t read(const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  }
 
   /// One lock-striped slice of the 5-input cache, keyed by class
   /// representative.  16 stripes keep cross-shard contention negligible
@@ -295,13 +331,9 @@ private:
   /// save to a *different* path never silently keeps a stale file.
   std::string persisted_path_ MIGHTY_GUARDED_BY(persist_mutex_);
   util::Mutex persist_mutex_{util::LockRank::oracle_persist};
-  std::atomic<uint64_t> synthesized_{0};
-  std::atomic<uint64_t> constructed_{0};
-  std::atomic<uint64_t> failures_{0};
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> answered_{0};
-  std::atomic<uint64_t> cache5_hits_{0};
-  std::atomic<uint64_t> conflicts_{0};
+  /// Lifetime accounting: every counter bump lands here as well as in the
+  /// caller's tally.
+  OracleTally totals_;
 };
 
 }  // namespace mighty::opt

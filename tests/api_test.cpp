@@ -344,8 +344,9 @@ TEST(ApiTest, OracleSaveIsIdempotentOnCleanCache) {
   opt::ReplacementOracle oracle(empty_db, params);
 
   // Adopt one (failure) entry from a stream: content is clean, but it has
-  // never been written to *this* target file.
-  std::istringstream cache("mighty-mig-5cut-cache v1 1\ndeadbeef fail 300 42\n");
+  // never been written to *this* target file.  0000ffff (!x5) represents
+  // the class of the projections.
+  std::istringstream cache("mighty-mig-5cut-cache v3 1\n0000ffff fail 300 42\n");
   const auto loaded = oracle.load_cache(cache);
   ASSERT_EQ(loaded.status, opt::ReplacementOracle::CacheLoadStatus::loaded);
   ASSERT_EQ(loaded.entries, 1u);

@@ -5,12 +5,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exact/database.hpp"
+#include "exact/exact_synthesis.hpp"
 #include "gen/arith.hpp"
 #include "mig/ffr.hpp"
 #include "mig/mig.hpp"
 #include "mig/shard.hpp"
+#include "npn/npn.hpp"
+#include "opt/oracle.hpp"
 #include "test_util.hpp"
 
 namespace mighty::check {
@@ -367,165 +372,151 @@ TEST(CheckReportTest, TallyConservation) {
 
 // --- cache file lint ---------------------------------------------------------
 
-class CacheLintTest : public ::testing::Test {
-protected:
-  testutil::ScratchDir scratch{"mighty_check_test"};
+tt::TruthTable representative(const tt::TruthTable& f) { return npn::canonize(f).representative; }
 
-  CheckReport lint(const std::string& text) {
-    const auto path = scratch.dir / "test.cache";
-    write_file(path, text);
-    return lint_cache_file(path.string());
-  }
+/// A cache line for `key`: its hex truth table, then `rest`.
+std::string cache_line(const tt::TruthTable& key, const std::string& rest) {
+  return key.to_hex() + ' ' + rest + '\n';
+}
+
+/// A v3 cache file whose header promises `lines.size()` lines, or `count`.
+std::string cache_file(const std::vector<std::string>& lines, int64_t count = -1) {
+  std::string text = "mighty-mig-5cut-cache v3 " +
+                     std::to_string(count < 0 ? static_cast<int64_t>(lines.size()) : count) +
+                     '\n';
+  for (const auto& line : lines) text += line;
+  return text;
+}
+
+/// One cache file, the diagnostics lint_cache_file must report for it (code
+/// and 1-based line, in order), and whether ReplacementOracle::load_cache
+/// accepts it.
+struct CacheCase {
+  std::string name;
+  std::string text;
+  std::vector<std::pair<Code, uint32_t>> diagnostics;
+  bool loads;
 };
 
-TEST_F(CacheLintTest, MissingFile) {
+std::vector<CacheCase> cache_cases() {
+  const auto x = [](uint32_t i) { return tt::TruthTable::projection(5, i); };
+  const auto chain_text = [](const tt::TruthTable& f) {
+    return exact::synthesize_minimum_mig(f).chain.to_string();
+  };
+  // Three classes, in ascending key order: a projection (no gate), a
+  // majority of three inputs (one gate) and the majority of five inputs.
+  const auto proj = representative(x(0));
+  const auto maj3_member = tt::TruthTable::maj(x(0), x(1), x(2));
+  const auto maj3 = representative(maj3_member);
+  tt::TruthTable maj5_member(5);
+  for (uint32_t m = 0; m < 32; ++m) maj5_member.set_bit(m, __builtin_popcount(m) >= 3);
+  const auto maj5 = representative(maj5_member);
+  const auto proj_ok = cache_line(proj, "ok -1 0 " + chain_text(proj));
+  const auto maj3_ok = cache_line(maj3, "ok 20000 137 " + chain_text(maj3));
+  const auto maj5_line = [&maj5](const std::string& rest) { return cache_line(maj5, rest); };
+
+  const Code header = Code::artifact_header, entry = Code::artifact_entry,
+             not_canonical = Code::artifact_not_canonical, budget = Code::artifact_budget;
+  return {
+      {"clean", cache_file({proj_ok, maj3_ok, maj5_line("fail 20000 17")}), {}, true},
+      {"empty", cache_file({}), {}, true},
+      {"blank lines are skipped", cache_file({proj_ok, "\n", maj3_ok}, 2), {}, true},
+      {"open record", cache_file({maj5_line("open 20000 1530 4")}), {}, true},
+      {"proved failure", cache_file({maj5_line("fail -1 300")}), {}, true},
+      {"unsorted keys warn only",
+       cache_file({maj3_ok, proj_ok}),
+       {{Code::artifact_order, kNoNode}},
+       true},
+      // The header.
+      {"bad magic", "not-a-cache v3 0\n", {{header, 1}}, false},
+      {"v2 header", "mighty-mig-5cut-cache v2 1\n" + maj3_ok, {{header, 1}}, false},
+      {"v1 header", "mighty-mig-5cut-cache v1 1\n" + proj_ok, {{header, 1}}, false},
+      {"unknown version", "mighty-mig-5cut-cache v99 0\n", {{header, 1}}, false},
+      {"count mismatch", cache_file({proj_ok}, 5), {{header, 1}}, false},
+      {"huge count", cache_file({}, 10000000000000000), {{header, 1}}, false},
+      // Keys.
+      {"malformed line names it", cache_file({proj_ok, "garbage\n"}), {{entry, 3}}, false},
+      {"short and unparsable keys",
+       cache_file({"abc fail 100 0\n", "zzzzzzzz fail 100 0\n"}),
+       {{entry, 2}, {entry, 3}},
+       false},
+      {"key too long", cache_file({"fffffffff fail 100 0\n"}), {{entry, 2}}, false},
+      {"duplicate key", cache_file({proj_ok, proj_ok}), {{entry, 3}}, false},
+      {"key not its class representative",
+       cache_file({proj_ok, cache_line(maj3_member, "ok 20000 137 " + chain_text(maj3_member))}),
+       {{not_canonical, 3}},
+       false},
+      // `ok` chains.
+      {"chain must realize its key",
+       cache_file({maj5_line("ok -1 0 " + chain_text(proj))}),
+       {{entry, 2}},
+       false},
+      {"chain must be canonically serialized",  // a doubled space: same chain, other text
+       cache_file({cache_line(proj, "ok -1 0 " + chain_text(proj).replace(1, 1, "  "))}),
+       {{not_canonical, 2}},
+       false},
+      {"trailing tokens after a chain",
+       cache_file({cache_line(maj3, "ok 20000 137 " + chain_text(maj3) + " 7 7 7")}),
+       {{not_canonical, 2}},
+       false},
+      {"chain reads a later step",
+       cache_file({cache_line(maj3, "ok 1 0 5 1 12 2 4 12")}),
+       {{entry, 2}},
+       false},
+      // `fail` and `open` records.
+      {"trailing tokens after a failure", cache_file({maj5_line("fail 20000 17 junk")}),
+       {{entry, 2}}, false},
+      {"unknown record kind", cache_file({maj5_line("bogus 1 2")}), {{entry, 2}}, false},
+      {"open record lacks its bound", cache_file({maj5_line("open 20000 10")}),
+       {{entry, 2}}, false},
+      {"open bound below the support bound", cache_file({maj5_line("open 20000 10 1")}),
+       {{entry, 2}}, false},
+      {"chain after an open bound", cache_file({maj5_line("open 20000 10 3 5 0 2")}),
+       {{entry, 2}}, false},
+      // Records that would freeze their class: every query a cache hit with
+      // no replacement, and no search ever run again.
+      {"negative failure budget", cache_file({maj5_line("fail -5 0")}), {{budget, 2}}, false},
+      {"zero failure budget", cache_file({maj5_line("fail 0 0")}), {{budget, 2}}, false},
+      {"open bound beyond max_gates", cache_file({maj5_line("open 20000 10 12")}),
+       {{entry, 2}}, false},
+      {"zero open budget", cache_file({maj5_line("open 0 10 3")}), {{budget, 2}}, false},
+  };
+}
+
+TEST(CacheLintTest, MissingFile) {
+  testutil::ScratchDir scratch{"mighty_check_test"};
   const auto report = lint_cache_file((scratch.dir / "absent.cache").string());
   EXPECT_TRUE(report.has(Code::artifact_io));
 }
 
-TEST_F(CacheLintTest, CleanFilePasses) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 3\n"
-      "0000ffff fail 20000 17\n"
-      "aaaaaaaa ok -1 0 5 0 2\n"
-      "e8e8e8e8 ok 20000 137 5 1 12 2 4 6\n");
-  EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
-}
+TEST(CacheLintTest, LinterAndLoaderAgreeOnEveryCase) {
+  testutil::ScratchDir scratch{"mighty_check_test"};
+  const exact::Database empty_db;  // loading never consults the database
+  opt::OracleParams params;
+  params.enable_five_input = true;
+  for (const auto& c : cache_cases()) {
+    SCOPED_TRACE(c.name + ":\n" + c.text);
+    const auto path = scratch.dir / "test.cache";
+    write_file(path, c.text);
+    const auto report = lint_cache_file(path.string());
+    const auto named = [](Code code, uint32_t line) {
+      return std::string(code_name(code)) + " at " + std::to_string(line);
+    };
+    std::vector<std::string> expected, actual;
+    for (const auto& [code, line] : c.diagnostics) expected.push_back(named(code, line));
+    for (const auto& d : report.diagnostics) actual.push_back(named(d.code, d.node));
+    EXPECT_EQ(actual, expected) << report.summary();
+    EXPECT_EQ(report.ok(), c.loads) << report.summary();
 
-TEST_F(CacheLintTest, BadHeader) {
-  const auto report = lint("not-a-cache v1 0\n");
-  ASSERT_TRUE(report.has(Code::artifact_header)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_header)->node, 1u);
-}
-
-TEST_F(CacheLintTest, MalformedEntryNamesTheLine) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 2\n"
-      "aaaaaaaa ok -1 0 5 0 2\n"
-      "garbage\n");
-  ASSERT_TRUE(report.has(Code::artifact_entry)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_entry)->node, 3u);  // 1-based file line
-}
-
-TEST_F(CacheLintTest, ShortAndUnparsableKeys) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 2\n"
-      "abc fail 100 0\n"
-      "zzzzzzzz fail 100 0\n");
-  EXPECT_EQ(report.num_errors(), 2u) << report.summary();
-  EXPECT_TRUE(report.has(Code::artifact_entry));
-}
-
-TEST_F(CacheLintTest, DuplicateKey) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 2\n"
-      "aaaaaaaa ok -1 0 5 0 2\n"
-      "aaaaaaaa ok -1 0 5 0 2\n");
-  ASSERT_TRUE(report.has(Code::artifact_entry)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_entry)->node, 3u);
-}
-
-TEST_F(CacheLintTest, ChainMustRealizeKey) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 1\n"
-      "00000000 ok -1 0 5 0 2\n");  // chain computes x1, key says constant 0
-  ASSERT_TRUE(report.has(Code::artifact_entry)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_entry)->node, 2u);
-}
-
-TEST_F(CacheLintTest, ChainMustBeCanonicallySerialized) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 1\n"
-      "aaaaaaaa ok -1 0 5  0 2\n");  // doubled space: same chain, different text
-  EXPECT_TRUE(report.has(Code::artifact_not_canonical)) << report.summary();
-}
-
-TEST_F(CacheLintTest, FrozenFailureBudget) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 1\n"
-      "0000ffff fail 0 5\n");  // budget 0: failure that never ran the solver
-  ASSERT_TRUE(report.has(Code::artifact_budget)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_budget)->node, 2u);
-}
-
-TEST_F(CacheLintTest, TrailingTokensAfterFailure) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 1\n"
-      "0000ffff fail 20000 17 junk\n");
-  EXPECT_TRUE(report.has(Code::artifact_entry)) << report.summary();
-}
-
-TEST_F(CacheLintTest, OpenRecordsPassInV2) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v2 3\n"
-      "0000ffff fail 20000 17\n"
-      "1234abcd open 20000 1530 4\n"
-      "aaaaaaaa ok -1 0 5 0 2\n");
-  EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
-}
-
-TEST_F(CacheLintTest, VersionThreeKeysMustBeClassRepresentatives) {
-  // 0000ffff (!x5) represents the class of aaaaaaaa (x1); e8e8e8e8
-  // (<x1 x2 x3>) is a member of 000f0fff's class, not its representative.
-  const auto report = lint(
-      "mighty-mig-5cut-cache v3 2\n"
-      "0000ffff ok -1 0 5 0 11\n"
-      "e8e8e8e8 ok 20000 137 5 1 12 2 4 6\n");
-  ASSERT_TRUE(report.has(Code::artifact_not_canonical)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_not_canonical)->node, 3u);
-  EXPECT_EQ(report.num_errors(), 1u) << report.summary();
-}
-
-TEST_F(CacheLintTest, MalformedOpenRecords) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v2 6\n"
-      "00000001 open 20000 10\n"          // no lower bound
-      "00000002 open 20000 10 1\n"        // below the support bound
-      "00000003 open 20000 10 10\n"       // beyond max_gates
-      "00000004 open 20000 10 3 5 0 2\n"  // a chain after the bound
-      "00000005 open 20000 10 3\n"        // valid
-      "00000006 open 0 10 3\n");          // frozen budget
-  std::vector<uint32_t> entry_lines;
-  for (const auto& d : report.diagnostics) {
-    if (d.code == Code::artifact_entry) entry_lines.push_back(d.node);
+    opt::ReplacementOracle oracle(empty_db, params);
+    std::istringstream is(c.text);
+    const auto loaded = oracle.load_cache(is);
+    EXPECT_EQ(loaded.status, c.loads ? opt::ReplacementOracle::CacheLoadStatus::loaded
+                                     : opt::ReplacementOracle::CacheLoadStatus::malformed);
+    // A rejected file leaves the cache empty; an accepted one is adopted whole.
+    EXPECT_EQ(oracle.cache_stats().entries, loaded.entries);
+    EXPECT_EQ(loaded.adopted, loaded.entries);
   }
-  EXPECT_EQ(entry_lines, (std::vector<uint32_t>{2, 3, 4, 5})) << report.summary();
-  ASSERT_TRUE(report.has(Code::artifact_budget)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_budget)->node, 7u);
-}
-
-TEST_F(CacheLintTest, OpenRecordInV1FileIsAnError) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 1\n"
-      "1234abcd open 20000 1530 4\n");
-  ASSERT_TRUE(report.has(Code::artifact_entry)) << report.summary();
-  EXPECT_EQ(report.find(Code::artifact_entry)->node, 2u);
-}
-
-TEST_F(CacheLintTest, UnknownStatus) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 1\n"
-      "0000ffff bogus 1 2\n");
-  EXPECT_TRUE(report.has(Code::artifact_entry)) << report.summary();
-}
-
-TEST_F(CacheLintTest, CountMismatch) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 5\n"
-      "aaaaaaaa ok -1 0 5 0 2\n");
-  EXPECT_TRUE(report.has(Code::artifact_header)) << report.summary();
-}
-
-TEST_F(CacheLintTest, UnsortedKeysWarnOnly) {
-  const auto report = lint(
-      "mighty-mig-5cut-cache v1 2\n"
-      "e8e8e8e8 ok 20000 137 5 1 12 2 4 6\n"
-      "aaaaaaaa ok -1 0 5 0 2\n");
-  EXPECT_TRUE(report.ok()) << report.summary();  // a warning, not an error
-  EXPECT_EQ(report.num_warnings(), 1u);
-  ASSERT_TRUE(report.has(Code::artifact_order));
-  EXPECT_EQ(report.find(Code::artifact_order)->severity, Severity::warning);
 }
 
 // --- database lint (small in-memory databases; the full 222-class database

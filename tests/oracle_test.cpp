@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -141,6 +142,11 @@ TEST(OracleTest, BudgetExhaustionIsReportedAsNoReplacement) {
   EXPECT_FALSE(oracle.query(f).has_value());
   EXPECT_GE(oracle.synthesis_failures(), 1u);
   EXPECT_EQ(oracle.constructed_count(), 0u) << "the search never reached SAT";
+  // Budgets a cache line cannot record are refused up front.
+  for (const int64_t budget : {int64_t{0}, int64_t{-2}}) {
+    params.synthesis_conflict_limit = budget;
+    EXPECT_THROW(ReplacementOracle(db(), params), std::invalid_argument) << budget;
+  }
 }
 
 // --- persistent 5-input cache ------------------------------------------------
@@ -249,41 +255,38 @@ TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
         << name << ": rejected file partially merged";
   };
 
-  expect_rejected("bad_magic.db", "not-a-cache v1 0\n");
+  // Keys below are class representatives, so each file is rejected for the
+  // flaw its name says and not for a non-canonical key.
+  const auto key = npn::canonize(maj5_table()).representative.to_hex();
+  const std::string header = "mighty-mig-5cut-cache v3 ";
+  expect_rejected("bad_magic.db", "not-a-cache v3 0\n");
   expect_rejected("bad_version.db", "mighty-mig-5cut-cache v99 0\n");
   // A garbage header count must come back malformed, not throw from an
   // attempted petabyte reserve.
-  expect_rejected("huge_count.db", "mighty-mig-5cut-cache v1 10000000000000000\n");
-  expect_rejected("hex_too_long.db",
-                  "mighty-mig-5cut-cache v1 1\nfffffffff fail 100 0\n");
-  expect_rejected("hex_too_short.db", "mighty-mig-5cut-cache v1 1\nff fail 100 0\n");
-  expect_rejected("fail_trailing_garbage.db",
-                  "mighty-mig-5cut-cache v1 1\nffffffff fail 100 0 junk\n");
+  expect_rejected("huge_count.db", header + "10000000000000000\n");
+  expect_rejected("hex_too_long.db", header + "1\nf" + key + " fail 100 0\n");
+  expect_rejected("hex_too_short.db", header + "1\nff fail 100 0\n");
+  expect_rejected("fail_trailing_garbage.db", header + "1\n" + key + " fail 100 0 junk\n");
   {
     // Trailing tokens after a valid chain must not round-trip silently.
     std::string ok_line = entry_line;
     while (!ok_line.empty() && ok_line.back() == '\n') ok_line.pop_back();
-    expect_rejected("ok_trailing_garbage.db",
-                    "mighty-mig-5cut-cache v1 1\n" + ok_line + " 7 7 7\n");
+    expect_rejected("ok_trailing_garbage.db", header + "1\n" + ok_line + " 7 7 7\n");
   }
   expect_rejected("truncated.db",
                   body.substr(0, body.size() - entry_line.size() / 2));
-  expect_rejected("count_mismatch.db", "mighty-mig-5cut-cache v1 2\n" + entry_line);
-  expect_rejected("duplicate.db",
-                  "mighty-mig-5cut-cache v1 2\n" + entry_line + entry_line);
-  expect_rejected("garbage_line.db",
-                  "mighty-mig-5cut-cache v1 1\nzzzz nope 1 2\n");
+  expect_rejected("count_mismatch.db", header + "2\n" + entry_line);
+  expect_rejected("duplicate.db", header + "2\n" + entry_line + entry_line);
+  expect_rejected("garbage_line.db", header + "1\nzzzz nope 1 2\n");
   // References past the chain's own steps must not reach simulate().
-  expect_rejected("step_reads_later_step.db",
-                  "mighty-mig-5cut-cache v1 1\n000f0fff ok 1 0 5 1 12 2 4 12\n");
-  expect_rejected("output_past_last_step.db",
-                  "mighty-mig-5cut-cache v1 1\n000f0fff ok 1 0 5 1 14 2 4 6\n");
+  expect_rejected("step_reads_later_step.db", header + "1\n000f0fff ok 1 0 5 1 12 2 4 12\n");
+  expect_rejected("output_past_last_step.db", header + "1\n000f0fff ok 1 0 5 1 14 2 4 6\n");
   // A chain filed under the wrong function must fail the simulation check:
-  // swap the truth-table hex of the valid entry for a different function.
-  const auto other = maj5_table() ^ tt::TruthTable::projection(5, 0);
+  // file the valid entry's chain under another class's representative.
+  const auto other =
+      npn::canonize(maj5_table() ^ tt::TruthTable::projection(5, 0)).representative;
   expect_rejected("wrong_function.db",
-                  "mighty-mig-5cut-cache v1 1\n" + other.to_hex() +
-                      entry_line.substr(entry_line.find(' ')));
+                  header + "1\n" + other.to_hex() + entry_line.substr(entry_line.find(' ')));
 }
 
 TEST(OracleCacheTest, SuccessBeatsFailureOnMerge) {
@@ -596,45 +599,13 @@ TEST(OracleBoundTest, OpenEntriesRoundTripThroughSaveAndLoad) {
   EXPECT_EQ(instantiated_blif(oracle, f), instantiated_blif(cold, f));
 }
 
-TEST(OracleBoundTest, VersionOneFilesStillLoad) {
-  ScratchDir scratch("mighty_oracle_v1");
-  const auto path = (scratch.dir / "c5.db").string();
-  {
-    ReplacementOracle oracle(db(), five_input_params());
-    ASSERT_TRUE(oracle.query(maj5_table()).has_value());
-    ASSERT_EQ(oracle.save_cache(path), 1u);
-  }
-  const std::string body = file_text(path);
-  const auto entries = body.substr(body.find('\n') + 1);
-  const auto load = [&](const std::string& contents) {
-    std::istringstream is(contents);
-    ReplacementOracle oracle(db(), five_input_params());
-    const auto result = oracle.load_cache(is);
-    if (result.status == ReplacementOracle::CacheLoadStatus::loaded) {
-      EXPECT_TRUE(oracle.query(maj5_table()).has_value());
-      EXPECT_EQ(oracle.synthesized_count(), 0u);
-    }
-    return result.status;
-  };
-  EXPECT_EQ(load("mighty-mig-5cut-cache v1 1\n" + entries),
-            ReplacementOracle::CacheLoadStatus::loaded);
-  // Open records are a v2 addition: a v1 file carrying one is corrupt.
-  EXPECT_EQ(load("mighty-mig-5cut-cache v1 1\n1234abcd open 20000 10 3\n"),
-            ReplacementOracle::CacheLoadStatus::malformed);
-  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n1234abcd open 20000 10 1\n"),
-            ReplacementOracle::CacheLoadStatus::malformed);
-  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n1234abcd open 20000 10\n"),
-            ReplacementOracle::CacheLoadStatus::malformed);
-}
-
 TEST(OracleBoundTest, MergeRanksSuccessOverFailureOverOpen) {
-  const auto f = maj5_table();
-  const auto key = f.to_hex();
+  const auto key = npn::canonize(maj5_table()).representative.to_hex();
   const auto merged = [&](const std::string& memory_line, const std::string& disk_line) {
     ReplacementOracle oracle(db(), five_input_params());
-    std::istringstream mem("mighty-mig-5cut-cache v2 1\n" + memory_line + "\n");
+    std::istringstream mem("mighty-mig-5cut-cache v3 1\n" + memory_line + "\n");
     EXPECT_EQ(oracle.load_cache(mem).status, ReplacementOracle::CacheLoadStatus::loaded);
-    std::istringstream disk("mighty-mig-5cut-cache v2 1\n" + disk_line + "\n");
+    std::istringstream disk("mighty-mig-5cut-cache v3 1\n" + disk_line + "\n");
     return oracle.load_cache(disk).adopted;
   };
   const auto open3 = key + " open 20000 10 3";
@@ -748,45 +719,6 @@ TEST(OracleClassTest, CountersAndCacheBytesIgnoreThreadsAndOrder) {
   EXPECT_EQ(run(4, true), reference);
 }
 
-TEST(OracleClassTest, VersionTwoFileMigratesMembersToOneClassEntry) {
-  const auto f = structured_five_input_functions()[2];
-  const auto g = other_member(f, 2);
-  const auto canon_f = npn::canonize(f);
-  ASSERT_EQ(canon_f.representative, npn::canonize(g).representative);
-  // f's own minimum chain, as a v2 session cached it under f.
-  const auto f_chain = exact::synthesize_minimum_mig(f).chain;
-  ASSERT_EQ(f_chain.simulate(), f);
-
-  std::istringstream v2("mighty-mig-5cut-cache v2 2\n" + f.to_hex() + " ok 20000 50 " +
-                        f_chain.to_string() + "\n" + g.to_hex() + " open 20000 7 3\n");
-  ReplacementOracle oracle(db(), five_input_params());
-  const auto loaded = oracle.load_cache(v2);
-  ASSERT_EQ(loaded.status, ReplacementOracle::CacheLoadStatus::loaded);
-  EXPECT_EQ(loaded.entries, 1u);
-  EXPECT_EQ(loaded.adopted, 1u);
-  const auto stats = oracle.cache_stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.successes, 1u);
-  EXPECT_EQ(stats.dirty, 1u) << "a migrated entry is rewritten by the next save";
-  EXPECT_TRUE(oracle.query(f).has_value());
-  EXPECT_TRUE(oracle.query(g).has_value());
-  EXPECT_EQ(oracle.synthesized_count(), 0u);
-  EXPECT_EQ(oracle.cache5_hits(), 2u);
-  EXPECT_TRUE(instantiates_correctly(oracle, f));
-  EXPECT_TRUE(instantiates_correctly(oracle, g));
-
-  // Saved again, the entry is one v3 line under the class representative.
-  ScratchDir scratch("mighty_oracle_migrate");
-  const auto path = (scratch.dir / "c5.db").string();
-  ASSERT_EQ(oracle.save_cache(path), 1u);
-  const std::string text = file_text(path);
-  EXPECT_EQ(text.rfind("mighty-mig-5cut-cache v3 1\n" + canon_f.representative.to_hex() +
-                           " ok 20000 50 ",
-                       0),
-            0u)
-      << text;
-}
-
 TEST(OracleClassTest, VersionThreeKeysMustBeCanonical) {
   const auto f = maj5_table();
   const auto rep = npn::canonize(f).representative;
@@ -800,9 +732,6 @@ TEST(OracleClassTest, VersionThreeKeysMustBeCanonical) {
             ReplacementOracle::CacheLoadStatus::loaded);
   EXPECT_EQ(load("mighty-mig-5cut-cache v3 1\n" + f.to_hex() + " fail 20000 30\n"),
             ReplacementOracle::CacheLoadStatus::malformed);
-  // The same line is a valid v2 record: raw keys migrate.
-  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\n" + f.to_hex() + " fail 20000 30\n"),
-            ReplacementOracle::CacheLoadStatus::loaded);
 }
 
 // --- classes the Theorem-2 chain settles --------------------------------------

@@ -233,7 +233,6 @@ TEST(ParallelOracleTest, ConcurrentQueriesKeepCountersConsistent) {
   EXPECT_EQ(oracle.queries(), kQueries);
   EXPECT_EQ(oracle.answered(), answered.load());
   EXPECT_EQ(oracle.answered(), kQueries);  // 4-input lookups always hit
-  EXPECT_DOUBLE_EQ(oracle.hit_rate(), 1.0);
 }
 
 TEST(ParallelOracleTest, ConcurrentInstantiationMatchesQueries) {

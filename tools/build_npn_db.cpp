@@ -5,16 +5,16 @@
 //   $ MIGHTY_DB_PATH=build/data/mig_npn4.db ./build/build_npn_db
 //
 // With --cache <path> it additionally validates a persistent 5-input oracle
-// cache file (the `mighty-mig-5cut-cache` format, v1 to v3): loads it through the
+// cache file (the `mighty-mig-5cut-cache v3` format): loads it through the
 // same wholesale validation every session uses and prints its stats.  A
 // missing file is fine (it appears on first save); a malformed one fails the
 // run — useful for checking a CI-restored cache before benches rely on it.
 //
 // With --lint the deep artifact linters (check/check.hpp) run on top: the
 // database entries are re-checked for canonical-form keys, realizing chains
-// and the Theorem-2 size bound, and a --cache file gets per-line diagnostics
-// (canonical chain serialization, budget monotonicity, sorted keys) instead
-// of the loader's wholesale accept/reject.  Lint warnings are printed but
+// and the Theorem-2 size bound, and a --cache file gets the loader's reader
+// (opt::read_cache_file) with one diagnostic per problem and line, plus a
+// sorted-keys warning, instead of a wholesale accept/reject.  Lint warnings are printed but
 // only errors fail the run.
 
 #include <cstdio>
