@@ -559,85 +559,65 @@ CheckReport validate_wave_order(const mig::Mig& m, const ffr::FfrPartition& part
 
 // --- flow report accounting --------------------------------------------------
 
-CheckReport validate_report(const flow::FlowReport& report) {
-  CheckReport out;
-  uint64_t queries = 0, answered = 0, cache5 = 0, synthesized = 0, constructed = 0,
-           failures = 0, conflicts = 0;
-  for (uint32_t i = 0; i < report.passes.size(); ++i) {
-    const auto& p = report.passes[i];
-    queries += p.oracle_queries;
-    answered += p.oracle_answered;
-    cache5 += p.oracle_cache5_hits;
-    synthesized += p.oracle_synthesized;
-    constructed += p.oracle_constructed;
-    failures += p.oracle_failures;
-    conflicts += p.oracle_conflicts;
-    if (p.oracle_answered > p.oracle_queries) {
-      out.add(Code::report_pass_inconsistent, i,
-              "pass '" + p.name + "' answered " + std::to_string(p.oracle_answered) +
-                  " of " + std::to_string(p.oracle_queries) + " queries");
-    }
-    if (p.oracle_cache5_hits + p.oracle_synthesized > p.oracle_queries) {
-      out.add(Code::report_pass_inconsistent, i,
-              "pass '" + p.name + "' resolved more 5-input lookups than queries");
-    }
-    // A failure is reached by a query that synthesized or by one that hit
-    // an open cache entry and resumed its search (possibly one an earlier
-    // pass left open), so it is bounded by both together.
-    if (p.oracle_failures > p.oracle_cache5_hits + p.oracle_synthesized) {
-      out.add(Code::report_pass_inconsistent, i,
-              "pass '" + p.name + "' failed " + std::to_string(p.oracle_failures) +
-                  " of " + std::to_string(p.oracle_cache5_hits + p.oracle_synthesized) +
-                  " 5-input lookups");
-    }
-    // Likewise a constructed answer settles a synthesis or a resumed search.
-    if (p.oracle_constructed > p.oracle_cache5_hits + p.oracle_synthesized) {
-      out.add(Code::report_pass_inconsistent, i,
-              "pass '" + p.name + "' constructed " + std::to_string(p.oracle_constructed) +
-                  " of " + std::to_string(p.oracle_cache5_hits + p.oracle_synthesized) +
-                  " 5-input lookups");
+namespace {
+
+/// One `code` diagnostic per counter where `have` differs from `want`.
+void compare_counts(CheckReport& out, Code code, const opt::OracleCounts& have,
+                    const char* have_label, const opt::OracleCounts& want,
+                    const char* want_label) {
+  for (const auto& field : opt::kOracleCountFields) {
+    if (have.*field.count != want.*field.count) {
+      out.add(code, kNoNode,
+              std::string(field.name) + ": " + have_label + " " +
+                  std::to_string(have.*field.count) + ", " + want_label + " " +
+                  std::to_string(want.*field.count));
     }
   }
-  const auto mismatch = [&](const char* name, uint64_t total, uint64_t sum) {
-    if (total != sum) {
-      out.add(Code::report_rollup_mismatch, kNoNode,
-              std::string(name) + " roll-up " + std::to_string(total) +
-                  " != per-pass sum " + std::to_string(sum));
-    }
+}
+
+}  // namespace
+
+CheckReport validate_counts(const opt::OracleCounts& c, const std::string& label,
+                            uint32_t node) {
+  CheckReport out;
+  const auto inconsistent = [&](const std::string& what) {
+    out.add(Code::report_pass_inconsistent, node, label + " " + what);
   };
-  mismatch("oracle_queries", report.oracle_queries, queries);
-  mismatch("oracle_answered", report.oracle_answered, answered);
-  mismatch("oracle_cache5_hits", report.oracle_cache5_hits, cache5);
-  mismatch("oracle_synthesized", report.oracle_synthesized, synthesized);
-  mismatch("oracle_constructed", report.oracle_constructed, constructed);
-  mismatch("oracle_failures", report.oracle_failures, failures);
-  mismatch("oracle_conflicts", report.oracle_conflicts, conflicts);
+  const uint64_t lookups5 = c.oracle_cache5_hits + c.oracle_synthesized;
+  if (c.oracle_answered > c.oracle_queries) {
+    inconsistent("answered " + std::to_string(c.oracle_answered) + " of " +
+                 std::to_string(c.oracle_queries) + " queries");
+  }
+  if (lookups5 > c.oracle_queries) {
+    inconsistent("resolved more 5-input lookups than queries");
+  }
+  if (c.oracle_failures > lookups5) {
+    inconsistent("failed " + std::to_string(c.oracle_failures) + " of " +
+                 std::to_string(lookups5) + " 5-input lookups");
+  }
+  if (c.oracle_constructed > lookups5) {
+    inconsistent("constructed " + std::to_string(c.oracle_constructed) + " of " +
+                 std::to_string(lookups5) + " 5-input lookups");
+  }
+  return out;
+}
+
+CheckReport validate_report(const flow::FlowReport& report) {
+  CheckReport out;
+  opt::OracleCounts sum;
+  for (uint32_t i = 0; i < report.passes.size(); ++i) {
+    const auto& p = report.passes[i];
+    out.merge(validate_counts(p, "pass '" + p.name + "'", i));
+    sum += p;
+  }
+  compare_counts(out, Code::report_rollup_mismatch, report, "roll-up", sum, "per-pass sum");
   return out;
 }
 
 CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTally& tally) {
   CheckReport out;
-  const auto compare = [&](const char* name, uint64_t reported, uint64_t tallied) {
-    if (reported != tallied) {
-      out.add(Code::report_tally_mismatch, kNoNode,
-              std::string(name) + ": report says " + std::to_string(reported) +
-                  ", tally says " + std::to_string(tallied));
-    }
-  };
-  compare("queries", report.oracle_queries,
-          tally.queries.load(std::memory_order_relaxed));
-  compare("answered", report.oracle_answered,
-          tally.answered.load(std::memory_order_relaxed));
-  compare("cache5_hits", report.oracle_cache5_hits,
-          tally.cache5_hits.load(std::memory_order_relaxed));
-  compare("synthesized", report.oracle_synthesized,
-          tally.synthesized.load(std::memory_order_relaxed));
-  compare("constructed", report.oracle_constructed,
-          tally.constructed.load(std::memory_order_relaxed));
-  compare("failures", report.oracle_failures,
-          tally.failures.load(std::memory_order_relaxed));
-  compare("conflicts", report.oracle_conflicts,
-          tally.conflicts.load(std::memory_order_relaxed));
+  compare_counts(out, Code::report_tally_mismatch, report, "report says", tally.snapshot(),
+                 "tally says");
   return out;
 }
 

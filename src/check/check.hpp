@@ -187,15 +187,26 @@ CheckReport validate_shard_plan(const mig::Mig& m, const ffr::FfrPartition& part
 CheckReport validate_wave_order(const mig::Mig& m, const ffr::FfrPartition& partition,
                                 const std::vector<uint32_t>& levels);
 
-/// FlowReport accounting: the whole-flow oracle roll-up must equal the sum
-/// of the per-pass deltas, and every pass entry must conserve its counters
-/// (answered <= queries; 5-input cache hits + syntheses <= queries;
-/// failures <= syntheses).  Diagnostic `node` is the pass index.
+/// Counter conservation within one oracle record (a pass's deltas, or any
+/// sum of them), reported as report_pass_inconsistent at `node` with
+/// messages that start with `label`:
+///   answered <= queries;
+///   cache5_hits + synthesized <= queries (every 5-input lookup is a query);
+///   failures <= cache5_hits + synthesized and constructed <= cache5_hits +
+///   synthesized: a search fails or is settled by the Theorem-2 chain either
+///   for a query that synthesized or for one that hit an open cache entry
+///   (possibly one an earlier pass left open) and resumed its search.
+CheckReport validate_counts(const opt::OracleCounts& counts, const std::string& label,
+                            uint32_t node = kNoNode);
+
+/// FlowReport accounting: validate_counts on every pass (diagnostic `node`
+/// is the pass index), and the whole-flow oracle totals must equal the sum
+/// of the passes (report_rollup_mismatch, naming each differing counter).
 CheckReport validate_report(const flow::FlowReport& report);
 
 /// Oracle tally conservation: a report whose passes all tallied into
-/// `tally` must agree with it exactly (the per-scope mirrors are bumped in
-/// lockstep with the lifetime counters).
+/// `tally` must agree with tally.snapshot() exactly (the per-scope mirrors
+/// are bumped in lockstep with the lifetime counters).
 CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTally& tally);
 
 // --- on-disk artifact linters -----------------------------------------------

@@ -131,32 +131,17 @@ size_t BatchReport::failures() const {
   return n;
 }
 
-double BatchReport::oracle_hit_rate() const {
-  return oracle_rate(oracle_answered, oracle_queries);
-}
-
-double BatchReport::cache5_reuse_rate() const {
-  return oracle_rate(oracle_cache5_hits, oracle_cache5_hits + oracle_synthesized);
-}
-
 void BatchReport::finalize() {
   size_before = size_after = 0;
   depth_before = depth_after = 0;
-  oracle_queries = oracle_answered = oracle_cache5_hits = 0;
-  oracle_synthesized = oracle_constructed = oracle_failures = oracle_conflicts = 0;
+  counts() = {};
   for (const auto& network : networks) {
     if (!network.error.empty()) continue;
     size_before += network.flow.size_before;
     size_after += network.flow.size_after;
     depth_before += network.flow.depth_before;
     depth_after += network.flow.depth_after;
-    oracle_queries += network.flow.oracle_queries;
-    oracle_answered += network.flow.oracle_answered;
-    oracle_cache5_hits += network.flow.oracle_cache5_hits;
-    oracle_synthesized += network.flow.oracle_synthesized;
-    oracle_constructed += network.flow.oracle_constructed;
-    oracle_failures += network.flow.oracle_failures;
-    oracle_conflicts += network.flow.oracle_conflicts;
+    counts() += network.flow;
   }
 }
 
@@ -195,6 +180,7 @@ std::string BatchReport::summary() const {
                 static_cast<unsigned long long>(oracle_queries),
                 100.0 * oracle_hit_rate(), 100.0 * cache5_reuse_rate());
   out += line;
+  out += five_input_line();
   if (const size_t failed = failures(); failed > 0) {
     std::snprintf(line, sizeof(line), "%zu network(s) FAILED\n", failed);
     out += line;

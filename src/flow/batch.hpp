@@ -57,8 +57,9 @@ struct NetworkReport {
   std::string error;
 };
 
-/// Roll-up over a whole batch: per-network reports plus corpus-wide totals.
-struct BatchReport {
+/// Roll-up over a whole batch: per-network reports plus corpus-wide totals
+/// (the inherited oracle counters included).
+struct BatchReport : opt::OracleCounts {
   std::vector<NetworkReport> networks;
   double seconds = 0.0;  ///< wall time of the whole batch run
 
@@ -67,22 +68,8 @@ struct BatchReport {
   uint32_t size_after = 0;
   uint64_t depth_before = 0;  ///< sum of per-network depths (for delta ratios)
   uint64_t depth_after = 0;
-  uint64_t oracle_queries = 0;
-  uint64_t oracle_answered = 0;
-  uint64_t oracle_cache5_hits = 0;
-  uint64_t oracle_synthesized = 0;
-  uint64_t oracle_constructed = 0;  ///< searches the Theorem-2 chain settled
-  uint64_t oracle_failures = 0;
-  uint64_t oracle_conflicts = 0;  ///< SAT conflicts the batch's syntheses spent
 
   size_t failures() const;
-  /// Fraction of oracle queries answered with a replacement; 1.0 if none.
-  double oracle_hit_rate() const;
-  /// Fraction of 5-input cache lookups served without touching the SAT
-  /// solver — the number that grows when networks share one warm oracle
-  /// (cold sessions re-synthesize what the corpus already knows).  1.0 when
-  /// the flow never looked at a 5-input cut.
-  double cache5_reuse_rate() const;
 
   /// Recomputes the corpus-wide totals from the per-network reports.
   void finalize();

@@ -28,8 +28,10 @@ class Session;
 struct RunControl;
 
 /// What one primitive pass did: size/depth before and after, effort counters
-/// and wall time.  A FlowReport is the trajectory of these.
-struct PassStats {
+/// and wall time.  A FlowReport is the trajectory of these.  The inherited
+/// oracle counters are the activity during this pass (rewriting passes;
+/// includes private per-pass oracles that never touch the session counters).
+struct PassStats : opt::OracleCounts {
   std::string name;  ///< script-form name ("TF", "size", "map6", ...)
   uint32_t size_before = 0;
   uint32_t size_after = 0;
@@ -40,31 +42,18 @@ struct PassStats {
   bool is_mapping = false;      ///< set by mapping passes (0 LUTs is legal)
   uint32_t num_luts = 0;        ///< mapping passes only
   uint32_t lut_depth = 0;       ///< mapping passes only
-  /// Oracle activity during this pass (rewriting passes; includes private
-  /// per-pass oracles that never touch the session counters).
-  uint64_t oracle_queries = 0;
-  uint64_t oracle_answered = 0;
-  uint64_t oracle_cache5_hits = 0;
-  uint64_t oracle_synthesized = 0;
-  uint64_t oracle_constructed = 0;  ///< searches the Theorem-2 chain settled
-  uint64_t oracle_failures = 0;
-  uint64_t oracle_conflicts = 0;  ///< SAT conflicts the pass's syntheses spent
   double seconds = 0.0;
 };
 
-/// numerator/denominator as a fraction, 1.0 when there was no activity —
-/// the single definition behind every oracle rate (FlowReport and
-/// BatchReport must never disagree on the convention, the CI "_rate" gate
-/// compares them across runs).
-inline double oracle_rate(uint64_t numerator, uint64_t denominator) {
-  return denominator == 0 ? 1.0
-                          : static_cast<double>(numerator) / denominator;
-}
+/// The one oracle-rate convention (opt/oracle_counts.hpp), in flow scope too.
+using opt::oracle_rate;
 
 /// Aggregated outcome of a Pipeline::run: the per-pass trajectory plus
-/// whole-flow totals and a snapshot of the shared oracle's cache behavior
-/// over this run.
-struct FlowReport {
+/// whole-flow totals.  The inherited oracle counters are the run's activity
+/// (sums of the per-pass deltas, so private per-pass oracles are accounted
+/// for as well); oracle_conflicts is what a conflict budget
+/// (RunControl::conflict_budget) is charged with.
+struct FlowReport : opt::OracleCounts {
   std::vector<PassStats> passes;
 
   /// Cancellation / budget control for the run in flight, or nullptr.  Set
@@ -79,34 +68,14 @@ struct FlowReport {
   uint32_t depth_after = 0;
   double seconds = 0.0;
 
-  /// Oracle activity during this run (sums of the per-pass deltas, so
-  /// private per-pass oracles are accounted for as well).
-  uint64_t oracle_queries = 0;
-  uint64_t oracle_answered = 0;
-  uint64_t oracle_cache5_hits = 0;
-  uint64_t oracle_synthesized = 0;
-  /// Searches answered by the Theorem-2 chain without SAT.
-  uint64_t oracle_constructed = 0;
-  uint64_t oracle_failures = 0;
-  /// SAT conflicts spent by the run's syntheses: what a conflict budget
-  /// (RunControl::conflict_budget) is charged with.
-  uint64_t oracle_conflicts = 0;
-
   uint64_t cuts_evaluated() const;
   uint64_t replacements() const;
-  /// Fraction of oracle queries answered with a replacement; 1.0 if none.
-  double oracle_hit_rate() const;
-  /// Fraction of 5-input cache lookups served without touching the SAT
-  /// solver; 1.0 when the flow never looked at a 5-input cut.  The number
-  /// corpus-wide oracle sharing improves (see batch.hpp).
-  double cache5_reuse_rate() const;
   /// Last mapping result in the trajectory, if any pass mapped.
   const PassStats* last_mapping() const;
 
-  /// Recomputes the oracle_* totals as sums of the per-pass deltas (which
-  /// also accounts for private per-pass oracles).  Idempotent: totals are
-  /// reset before summing.  Pipeline::run and the batch runner both finalize
-  /// reports through this.
+  /// Recomputes the oracle counters as the sum of the per-pass deltas.
+  /// Idempotent: the totals are reset before summing.  Pipeline::run and the
+  /// batch runner both finalize reports through this.
   void accumulate_oracle_totals();
 
   /// Human-readable per-pass table plus the totals line.

@@ -43,13 +43,7 @@ public:
     entry.replacements = stats.replacements;
     // Per-call tally, not lifetime-counter deltas: exact attribution even
     // while other networks of a batch hammer the same shared oracle.
-    entry.oracle_queries = stats.oracle_queries;
-    entry.oracle_answered = stats.oracle_answered;
-    entry.oracle_cache5_hits = stats.oracle_cache5_hits;
-    entry.oracle_synthesized = stats.oracle_synthesized;
-    entry.oracle_constructed = stats.oracle_constructed;
-    entry.oracle_failures = stats.oracle_failures;
-    entry.oracle_conflicts = stats.oracle_conflicts;
+    entry.counts() = stats.counts();
     entry.seconds = stats.seconds;
     report.passes.push_back(std::move(entry));
     return result;

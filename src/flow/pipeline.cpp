@@ -320,25 +320,8 @@ uint64_t FlowReport::replacements() const {
 }
 
 void FlowReport::accumulate_oracle_totals() {
-  oracle_queries = oracle_answered = oracle_cache5_hits = 0;
-  oracle_synthesized = oracle_constructed = oracle_failures = oracle_conflicts = 0;
-  for (const auto& pass : passes) {
-    oracle_queries += pass.oracle_queries;
-    oracle_answered += pass.oracle_answered;
-    oracle_cache5_hits += pass.oracle_cache5_hits;
-    oracle_synthesized += pass.oracle_synthesized;
-    oracle_constructed += pass.oracle_constructed;
-    oracle_failures += pass.oracle_failures;
-    oracle_conflicts += pass.oracle_conflicts;
-  }
-}
-
-double FlowReport::oracle_hit_rate() const {
-  return oracle_rate(oracle_answered, oracle_queries);
-}
-
-double FlowReport::cache5_reuse_rate() const {
-  return oracle_rate(oracle_cache5_hits, oracle_cache5_hits + oracle_synthesized);
+  counts() = {};
+  for (const auto& pass : passes) counts() += pass;
 }
 
 const PassStats* FlowReport::last_mapping() const {
@@ -378,16 +361,7 @@ std::string FlowReport::summary() const {
                 static_cast<unsigned long long>(oracle_queries),
                 100.0 * oracle_hit_rate());
   out += line;
-  if (oracle_synthesized + oracle_cache5_hits > 0) {
-    std::snprintf(line, sizeof(line),
-                  "5-input: %llu syntheses (%llu by construction), %llu SAT conflicts, "
-                  "%llu cache hits\n",
-                  static_cast<unsigned long long>(oracle_synthesized),
-                  static_cast<unsigned long long>(oracle_constructed),
-                  static_cast<unsigned long long>(oracle_conflicts),
-                  static_cast<unsigned long long>(oracle_cache5_hits));
-    out += line;
-  }
+  out += five_input_line();
   return out;
 }
 

@@ -12,6 +12,7 @@
 
 #include "exact/database.hpp"
 #include "mig/mig.hpp"
+#include "opt/oracle_counts.hpp"
 #include "tt/truth_table.hpp"
 #include "util/mutex.hpp"
 
@@ -82,25 +83,6 @@
 /// and every counter are identical whether one thread queries or eight do.
 
 namespace mighty::opt {
-
-/// Oracle accounting: the oracle keeps one tally for its lifetime, and every
-/// query/instantiate that is handed a caller-owned tally records into it
-/// too.  A pass (or one network of a batch run) owns a tally for exact
-/// attribution — global before/after snapshots would interleave arbitrarily
-/// once several networks mutate the shared counters concurrently.
-/// Atomic because a single pass already fans out over FFR shards.
-struct OracleTally {
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> answered{0};
-  std::atomic<uint64_t> cache5_hits{0};
-  std::atomic<uint64_t> synthesized{0};
-  /// Searches the Theorem-2 chain settled without SAT (a subset of the
-  /// syntheses and resumptions).
-  std::atomic<uint64_t> constructed{0};
-  std::atomic<uint64_t> failures{0};
-  /// SAT conflicts spent by the syntheses this scope ran.
-  std::atomic<uint64_t> conflicts{0};
-};
 
 struct OracleParams {
   /// Allow on-demand 5-input synthesis (otherwise only the 4-input database).

@@ -32,25 +32,8 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   local.size_after = result.count_live_gates();
   local.depth_after = result.depth();
-  local.oracle_queries = tally.queries.load(std::memory_order_relaxed);
-  local.oracle_answered = tally.answered.load(std::memory_order_relaxed);
-  local.oracle_cache5_hits = tally.cache5_hits.load(std::memory_order_relaxed);
-  local.oracle_synthesized = tally.synthesized.load(std::memory_order_relaxed);
-  local.oracle_constructed = tally.constructed.load(std::memory_order_relaxed);
-  local.oracle_failures = tally.failures.load(std::memory_order_relaxed);
-  local.oracle_conflicts = tally.conflicts.load(std::memory_order_relaxed);
-  if (params.tally != nullptr) {
-    params.tally->queries.fetch_add(local.oracle_queries, std::memory_order_relaxed);
-    params.tally->answered.fetch_add(local.oracle_answered, std::memory_order_relaxed);
-    params.tally->cache5_hits.fetch_add(local.oracle_cache5_hits,
-                                        std::memory_order_relaxed);
-    params.tally->synthesized.fetch_add(local.oracle_synthesized,
-                                        std::memory_order_relaxed);
-    params.tally->constructed.fetch_add(local.oracle_constructed,
-                                        std::memory_order_relaxed);
-    params.tally->failures.fetch_add(local.oracle_failures, std::memory_order_relaxed);
-    params.tally->conflicts.fetch_add(local.oracle_conflicts, std::memory_order_relaxed);
-  }
+  local.counts() = tally.snapshot();
+  if (params.tally != nullptr) params.tally->add(local);
   if (stats != nullptr) *stats = local;
   return result;
 }

@@ -7,6 +7,7 @@
 #include "exact/chain.hpp"
 #include "mig/cuts.hpp"
 #include "mig/mig.hpp"
+#include "opt/oracle_counts.hpp"
 
 namespace mighty::util {
 class ThreadPool;
@@ -26,7 +27,6 @@ class ThreadPool;
 namespace mighty::opt {
 
 class ReplacementOracle;
-struct OracleTally;
 
 enum class Direction { top_down, bottom_up };
 
@@ -60,23 +60,17 @@ struct RewriteParams {
   OracleTally* tally = nullptr;
 };
 
-struct RewriteStats {
+/// The inherited counters are the oracle activity of exactly this call,
+/// tallied per query rather than snapshotted from the shared oracle's
+/// lifetime counters — so attribution stays exact when concurrent passes
+/// (batch runs) share one oracle.
+struct RewriteStats : OracleCounts {
   uint32_t size_before = 0;
   uint32_t size_after = 0;
   uint32_t depth_before = 0;
   uint32_t depth_after = 0;
   uint64_t cuts_evaluated = 0;
   uint64_t replacements = 0;
-  /// Oracle activity of exactly this call, tallied per query rather than
-  /// snapshotted from the shared oracle's lifetime counters — so attribution
-  /// stays exact when concurrent passes (batch runs) share one oracle.
-  uint64_t oracle_queries = 0;
-  uint64_t oracle_answered = 0;
-  uint64_t oracle_cache5_hits = 0;
-  uint64_t oracle_synthesized = 0;
-  uint64_t oracle_constructed = 0;  ///< searches settled without SAT
-  uint64_t oracle_failures = 0;
-  uint64_t oracle_conflicts = 0;  ///< SAT conflicts its syntheses spent
   double seconds = 0.0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "opt/oracle_counts.hpp"
+
 namespace mighty::serve {
 
 namespace {
@@ -246,10 +248,19 @@ api::JobStatus decode_status_ok(const std::vector<uint8_t>& payload) {
 
 namespace {
 
+/// The oracle counter record: one u64 per field, in kOracleCountFields order.
+void write_counts(Writer& w, const opt::OracleCounts& counts) {
+  for (const auto& field : opt::kOracleCountFields) w.u64(counts.*field.count);
+}
+
+void read_counts(Reader& r, opt::OracleCounts& counts) {
+  for (const auto& field : opt::kOracleCountFields) counts.*field.count = r.u64();
+}
+
 /// Smallest encoded PassStats record: an empty name (4), four u32 sizes and
 /// depths (16), two u64 effort counters (16), is_mapping (1), two u32 LUT
-/// figures (8), seven u64 oracle counters (56) and the f64 seconds (8).
-constexpr size_t kMinPassBytes = 109;
+/// figures (8), the oracle counter record and the f64 seconds (8).
+constexpr size_t kMinPassBytes = 53 + 8 * opt::kOracleCountFields.size();
 
 void write_pass_stats(Writer& w, const flow::PassStats& pass) {
   w.str(pass.name);
@@ -262,13 +273,7 @@ void write_pass_stats(Writer& w, const flow::PassStats& pass) {
   w.u8(pass.is_mapping ? 1 : 0);
   w.u32(pass.num_luts);
   w.u32(pass.lut_depth);
-  w.u64(pass.oracle_queries);
-  w.u64(pass.oracle_answered);
-  w.u64(pass.oracle_cache5_hits);
-  w.u64(pass.oracle_synthesized);
-  w.u64(pass.oracle_constructed);
-  w.u64(pass.oracle_failures);
-  w.u64(pass.oracle_conflicts);
+  write_counts(w, pass);
   w.f64(pass.seconds);
 }
 
@@ -284,13 +289,7 @@ flow::PassStats read_pass_stats(Reader& r) {
   pass.is_mapping = r.u8() != 0;
   pass.num_luts = r.u32();
   pass.lut_depth = r.u32();
-  pass.oracle_queries = r.u64();
-  pass.oracle_answered = r.u64();
-  pass.oracle_cache5_hits = r.u64();
-  pass.oracle_synthesized = r.u64();
-  pass.oracle_constructed = r.u64();
-  pass.oracle_failures = r.u64();
-  pass.oracle_conflicts = r.u64();
+  read_counts(r, pass);
   pass.seconds = r.f64();
   return pass;
 }
@@ -308,13 +307,7 @@ std::vector<uint8_t> encode_result_ok(const api::JobResult& result) {
   w.u32(report.depth_before);
   w.u32(report.depth_after);
   w.f64(report.seconds);
-  w.u64(report.oracle_queries);
-  w.u64(report.oracle_answered);
-  w.u64(report.oracle_cache5_hits);
-  w.u64(report.oracle_synthesized);
-  w.u64(report.oracle_constructed);
-  w.u64(report.oracle_failures);
-  w.u64(report.oracle_conflicts);
+  write_counts(w, report);
   w.u32(static_cast<uint32_t>(report.passes.size()));
   for (const auto& pass : report.passes) write_pass_stats(w, pass);
   return w.take();
@@ -332,13 +325,7 @@ api::JobResult decode_result_ok(const std::vector<uint8_t>& payload) {
   report.depth_before = r.u32();
   report.depth_after = r.u32();
   report.seconds = r.f64();
-  report.oracle_queries = r.u64();
-  report.oracle_answered = r.u64();
-  report.oracle_cache5_hits = r.u64();
-  report.oracle_synthesized = r.u64();
-  report.oracle_constructed = r.u64();
-  report.oracle_failures = r.u64();
-  report.oracle_conflicts = r.u64();
+  read_counts(r, report);
   const uint32_t num_passes = r.u32();
   // Each pass costs >= kMinPassBytes payload bytes; a count the payload
   // cannot hold is a forged header, not a big report.

@@ -326,6 +326,42 @@ TEST(CheckReportTest, RollupMismatchIsReported) {
   EXPECT_TRUE(out.has(Code::report_rollup_mismatch)) << out.summary();
 }
 
+TEST(CheckReportTest, MismatchesNameTheCounter) {
+  const auto consistent = consistent_report();
+  auto report = consistent;
+  report.oracle_constructed += 1;
+  const auto rollup = validate_report(report);
+  ASSERT_TRUE(rollup.has(Code::report_rollup_mismatch)) << rollup.summary();
+  EXPECT_EQ(rollup.diagnostics.size(), 1u) << rollup.summary();
+  EXPECT_EQ(rollup.find(Code::report_rollup_mismatch)->node, kNoNode);
+  EXPECT_NE(rollup.summary().find("oracle_constructed"), std::string::npos)
+      << rollup.summary();
+
+  opt::OracleTally tally;
+  tally.add(consistent);
+  const auto out = validate_tally(report, tally);
+  ASSERT_TRUE(out.has(Code::report_tally_mismatch)) << out.summary();
+  EXPECT_EQ(out.diagnostics.size(), 1u) << out.summary();
+  EXPECT_NE(out.summary().find("oracle_constructed"), std::string::npos) << out.summary();
+}
+
+TEST(CheckReportTest, CountsInvariantsHoldForAnyRecord) {
+  // A resumed open entry counts as a cache hit, so failures and constructed
+  // answers are bounded by hits plus syntheses, not by syntheses alone.
+  opt::OracleCounts counts;
+  counts.oracle_queries = 4;
+  counts.oracle_answered = 4;
+  counts.oracle_cache5_hits = 2;
+  counts.oracle_failures = 2;
+  counts.oracle_constructed = 2;
+  EXPECT_TRUE(validate_counts(counts, "record").ok());
+  counts.oracle_constructed = 3;
+  const auto out = validate_counts(counts, "record", 7);
+  ASSERT_TRUE(out.has(Code::report_pass_inconsistent)) << out.summary();
+  EXPECT_EQ(out.find(Code::report_pass_inconsistent)->node, 7u);
+  EXPECT_EQ(out.diagnostics[0].message, "record constructed 3 of 2 5-input lookups");
+}
+
 TEST(CheckReportTest, PassCounterConservation) {
   auto report = consistent_report();
   report.passes[1].oracle_answered = 6;  // answered > queries
@@ -355,12 +391,7 @@ TEST(CheckReportTest, PassCounterConservation) {
 TEST(CheckReportTest, TallyConservation) {
   const auto report = consistent_report();
   opt::OracleTally tally;
-  tally.queries = report.oracle_queries;
-  tally.answered = report.oracle_answered;
-  tally.cache5_hits = report.oracle_cache5_hits;
-  tally.synthesized = report.oracle_synthesized;
-  tally.failures = report.oracle_failures;
-  tally.conflicts = report.oracle_conflicts;
+  tally.add(report);
   EXPECT_TRUE(validate_tally(report, tally).ok());
   tally.conflicts += 1;
   EXPECT_TRUE(validate_tally(report, tally).has(Code::report_tally_mismatch));

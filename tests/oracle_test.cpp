@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <concepts>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -867,6 +868,60 @@ TEST(OracleTest, FiveInputRewritingAtLeastMatchesFourInput) {
   functional_hashing(baseline, oracle, params, &five);
   // Wider cuts see strictly more replacement opportunities.
   EXPECT_LE(five.size_after, four.size_after);
+}
+
+// --- the counter record --------------------------------------------------------
+
+static_assert(std::equality_comparable<OracleCounts>);
+// A report that inherits the record compares its counters through counts().
+static_assert(!std::equality_comparable<RewriteStats>);
+
+/// A record whose counters hold base, base + 1, ... in wire order.
+OracleCounts distinct_counts(uint64_t base) {
+  OracleCounts counts;
+  for (const auto& field : kOracleCountFields) counts.*field.count = base++;
+  return counts;
+}
+
+TEST(OracleCountsTest, SumCompareAndTallyWalkEveryCounter) {
+  const OracleCounts a = distinct_counts(1);
+  OracleCounts sum = a;
+  sum += distinct_counts(11);
+  for (size_t i = 0; i < kOracleCountFields.size(); ++i) {
+    const auto& field = kOracleCountFields[i];
+    EXPECT_EQ(sum.*field.count, 12 + 2 * i) << field.name;
+    OracleCounts off = sum;
+    off.*field.count += 1;
+    EXPECT_NE(off, sum) << field.name;
+  }
+
+  // Each row pairs a record member with the tally counter of the same name.
+  OracleTally tally;
+  tally.add(a);
+  EXPECT_EQ(tally.queries.load(), a.oracle_queries);
+  EXPECT_EQ(tally.answered.load(), a.oracle_answered);
+  EXPECT_EQ(tally.cache5_hits.load(), a.oracle_cache5_hits);
+  EXPECT_EQ(tally.synthesized.load(), a.oracle_synthesized);
+  EXPECT_EQ(tally.constructed.load(), a.oracle_constructed);
+  EXPECT_EQ(tally.failures.load(), a.oracle_failures);
+  EXPECT_EQ(tally.conflicts.load(), a.oracle_conflicts);
+  tally.add(distinct_counts(11));
+  EXPECT_EQ(tally.snapshot(), sum);
+}
+
+TEST(OracleCountsTest, FunctionalHashingReportsItsTallyAndForwardsIt) {
+  ReplacementOracle oracle(db());
+  const auto m = algebra::depth_optimize(gen::make_adder_n(8));
+  OracleTally outer;
+  RewriteParams params = variant_params("TF");
+  params.tally = &outer;
+  RewriteStats first, second;
+  functional_hashing(m, oracle, params, &first);
+  functional_hashing(m, oracle, params, &second);
+  EXPECT_GT(first.oracle_queries, 0u);
+  OracleCounts both = first.counts();
+  both += second;
+  EXPECT_EQ(outer.snapshot(), both);
 }
 
 }  // namespace

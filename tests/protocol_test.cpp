@@ -200,6 +200,106 @@ TEST(ProtocolTest, ResultRoundTripCarriesReport) {
   EXPECT_EQ(decoded.report.passes[0].oracle_constructed, 9u);
 }
 
+/// Lower-case hex of `bytes`, two digits per byte.
+std::string hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// The result and stats layouts, pinned byte for byte (all integers little-
+// endian).  Every counter holds a distinct value, so a reordered, dropped
+// or duplicated field changes the bytes.  fuzz/corpus/frame/result_ok.bin
+// and stats_ok.bin hold these two frames.
+TEST(ProtocolTest, GoldenResultAndStatsFrames) {
+  api::JobResult result;
+  result.network_blif = ".end\n";
+  auto& report = result.report;
+  report.size_before = 100;
+  report.size_after = 80;
+  report.depth_before = 12;
+  report.depth_after = 9;
+  report.seconds = 0.5;
+  report.oracle_queries = 1;
+  report.oracle_answered = 2;
+  report.oracle_cache5_hits = 3;
+  report.oracle_synthesized = 4;
+  report.oracle_constructed = 5;
+  report.oracle_failures = 6;
+  report.oracle_conflicts = 7;
+  flow::PassStats pass;
+  pass.name = "TF";
+  pass.size_before = 100;
+  pass.size_after = 80;
+  pass.depth_before = 12;
+  pass.depth_after = 9;
+  pass.cuts_evaluated = 21;
+  pass.replacements = 22;
+  pass.oracle_queries = 11;
+  pass.oracle_answered = 12;
+  pass.oracle_cache5_hits = 13;
+  pass.oracle_synthesized = 14;
+  pass.oracle_constructed = 15;
+  pass.oracle_failures = 16;
+  pass.oracle_conflicts = 17;
+  pass.seconds = 0.25;
+  report.passes.push_back(pass);
+  const auto result_frame = encode_frame(Tag::result_ok, encode_result_ok(result));
+  EXPECT_EQ(hex(result_frame),
+            "84" "d4000000"                          // tag, payload length 212
+            "00000000" "00000000"                    // code ok, empty message
+            "05000000" "2e656e640a"                  // network_blif ".end\n"
+            "64000000" "50000000" "0c000000" "09000000"  // size, depth
+            "000000000000e03f"                       // seconds 0.5
+            "0100000000000000" "0200000000000000"    // queries, answered
+            "0300000000000000" "0400000000000000"    // cache5_hits, synthesized
+            "0500000000000000" "0600000000000000"    // constructed, failures
+            "0700000000000000"                       // conflicts
+            "01000000"                               // one pass record:
+            "02000000" "5446"                        //   name "TF"
+            "64000000" "50000000" "0c000000" "09000000"  // size, depth
+            "1500000000000000" "1600000000000000"    //   cuts, replacements
+            "00" "00000000" "00000000"               //   not mapping, 0 LUTs
+            "0b00000000000000" "0c00000000000000"    //   queries, answered
+            "0d00000000000000" "0e00000000000000"    //   cache5_hits, synthesized
+            "0f00000000000000" "1000000000000000"    //   constructed, failures
+            "1100000000000000"                       //   conflicts
+            "000000000000d03f");                     //   seconds 0.25
+  EXPECT_EQ(encode_result_ok(decode_result_ok(one_frame(result_frame).payload)),
+            encode_result_ok(result));
+
+  api::ServiceStats stats;
+  stats.submitted = 1;
+  stats.completed = 2;
+  stats.failed = 3;
+  stats.cancelled = 4;
+  stats.queued = 5;
+  stats.running = 6;
+  stats.oracle_queries = 7;
+  stats.oracle_cache5_hits = 8;
+  stats.oracle_synthesized = 9;
+  stats.cache_entries = 10;
+  stats.cache_dirty = 11;
+  stats.threads = 12;
+  stats.job_workers = 13;
+  const auto stats_frame = encode_frame(Tag::stats_ok, encode_stats_ok(stats));
+  EXPECT_EQ(hex(stats_frame),
+            "86" "60000000"                          // tag, payload length 96
+            "0100000000000000" "0200000000000000"    // submitted, completed
+            "0300000000000000" "0400000000000000"    // failed, cancelled
+            "0500000000000000" "0600000000000000"    // queued, running
+            "0700000000000000" "0800000000000000"    // oracle queries, cache5_hits
+            "0900000000000000"                       // oracle synthesized
+            "0a00000000000000" "0b00000000000000"    // cache entries, dirty
+            "0c000000" "0d000000");                  // threads, job workers
+  EXPECT_EQ(encode_stats_ok(decode_stats_ok(one_frame(stats_frame).payload)),
+            encode_stats_ok(stats));
+}
+
 TEST(ProtocolTest, ManyMinimalPassRecordsAreNotAForgedCount) {
   // Nameless pass records are the smallest a report can carry; the forged-
   // count floor must still admit any number of them.

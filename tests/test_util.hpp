@@ -1,13 +1,26 @@
 #pragma once
 
 #include <filesystem>
+#include <ostream>
 #include <random>
 #include <string_view>
 #include <vector>
 
 #include "mig/mig.hpp"
+#include "opt/oracle_counts.hpp"
 
 /// Shared helpers for the test suite.
+
+namespace mighty::opt {
+
+/// gtest prints a mismatching oracle record counter by counter.
+inline void PrintTo(const OracleCounts& counts, std::ostream* os) {
+  for (const auto& field : kOracleCountFields) {
+    *os << field.name << '=' << counts.*field.count << ' ';
+  }
+}
+
+}  // namespace mighty::opt
 
 namespace mighty::testutil {
 
